@@ -4,11 +4,16 @@
 // makes:
 //
 //   Phase 1 (determinism): the same request stream, same seed, counted
-//   faults armed, replayed at 1, 4 and 8 workers. Every injected fault
-//   must be absorbed by a retry, and the final ledger must be
-//   byte-identical across worker counts. The journal must restore a
-//   fresh marketplace bit-identically (RestoreFromJournal CSV == live
-//   CSV) after every run.
+//   faults armed, replayed at 1, 4 and 8 workers with batched quoting
+//   and once at 1 worker request-at-a-time. Every injected fault must
+//   be absorbed by a retry, the final ledger must be byte-identical
+//   across all runs, and the curve every run quoted from must equal a
+//   cold build bit-for-bit. The journal must restore a fresh
+//   marketplace bit-identically (RestoreFromJournal CSV == live CSV)
+//   after every run.
+//
+//   Every single-product phase serves a 1-shard catalog (product
+//   "solo") under a per-process temp directory.
 //
 //   Phase 2 (overload): multiple submitter threads blast bursts larger
 //   than the admission queue. Every submission must resolve to exactly
@@ -75,6 +80,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <string>
@@ -104,9 +110,12 @@ using nimbus::Rng;
 using nimbus::Status;
 using nimbus::StatusCode;
 using nimbus::market::Broker;
+using nimbus::market::Catalog;
+using nimbus::market::CatalogOptions;
 using nimbus::market::CheckpointPolicy;
 using nimbus::market::Journal;
 using nimbus::market::Marketplace;
+using nimbus::market::ShardOptions;
 using nimbus::service::MarketService;
 using nimbus::service::PurchaseRequest;
 using nimbus::service::PurchaseResult;
@@ -240,7 +249,7 @@ std::string TempJournalPath(const std::string& tag) {
          ".waj";
 }
 
-Marketplace MakeMarket(uint64_t seed, bool use_curve_cache = true) {
+Marketplace MakeMarket(uint64_t seed) {
   Rng rng(seed);
   nimbus::data::ClassificationSpec spec;
   spec.num_examples = 300;
@@ -252,7 +261,6 @@ Marketplace MakeMarket(uint64_t seed, bool use_curve_cache = true) {
   options.samples_per_curve_point = 50;
   options.min_inverse_ncp = 1.0;
   options.max_inverse_ncp = 50.0;
-  options.use_curve_cache = use_curve_cache;
   Marketplace market(nimbus::data::Split(all, 0.75, rng), options);
   auto points = nimbus::market::MakeBuyerPoints(
       nimbus::market::ValueShape::kConcave,
@@ -268,6 +276,49 @@ Marketplace MakeMarket(uint64_t seed, bool use_curve_cache = true) {
   }
   return market;
 }
+
+// The single-product market of phases 1-4 and 7: a 1-shard catalog
+// over MakeMarket(seed) under a fresh per-process directory, removed
+// when the holder goes out of scope (after the service serving it).
+class SoloCatalog {
+ public:
+  SoloCatalog(const std::string& tag, uint64_t seed,
+              ShardOptions shard_defaults = {})
+      : root_(TempJournalPath(tag) + ".d") {
+    std::filesystem::remove_all(root_);
+    CatalogOptions options;
+    options.root_dir = root_;
+    options.shard_defaults = std::move(shard_defaults);
+    catalog_ = std::make_unique<Catalog>(options);
+    const Status added = catalog_->AddProduct(
+        "solo", [seed]() -> nimbus::StatusOr<Marketplace> {
+          return MakeMarket(seed);
+        });
+    if (!added.ok()) {
+      std::fprintf(stderr, "catalog setup failed: %s\n",
+                   added.ToString().c_str());
+      std::exit(2);
+    }
+  }
+  ~SoloCatalog() {
+    catalog_.reset();
+    std::error_code ignored;
+    std::filesystem::remove_all(root_, ignored);
+  }
+  SoloCatalog(const SoloCatalog&) = delete;
+  SoloCatalog& operator=(const SoloCatalog&) = delete;
+
+  Catalog* get() { return catalog_.get(); }
+  // The shard's live marketplace; read it only between runs.
+  Marketplace& market() { return *catalog_->shard(0)->market(); }
+  const std::string& journal_path() {
+    return catalog_->shard(0)->journal_path();
+  }
+
+ private:
+  std::string root_;
+  std::unique_ptr<Catalog> catalog_;
+};
 
 PurchaseRequest MakeRequest(int i) {
   PurchaseRequest request;
@@ -325,10 +376,39 @@ void CheckRestore(const std::string& path, const Marketplace& live,
   }
 }
 
+// True when the curve `market` serves for its offering's default loss
+// equals, bit-for-bit, the same CurveKey built cold through a fresh
+// marketplace's CurveCache.
+bool ServedCurveMatchesColdBuild(Marketplace& market, uint64_t seed) {
+  Marketplace cold = MakeMarket(seed);
+  const auto kind = nimbus::ml::ModelKind::kLogisticRegression;
+  Broker* served_broker = *market.BrokerFor(kind);
+  Broker* cold_broker = *cold.BrokerFor(kind);
+  const std::string loss =
+      served_broker->model().report_losses().front()->name();
+  const auto served = served_broker->GetErrorCurve(loss);
+  const auto built = cold_broker->GetErrorCurve(loss);
+  if (!served.ok() || !built.ok() ||
+      cold.curve_cache()->stats().builds != 1 ||
+      (*served)->points().size() != (*built)->points().size()) {
+    return false;
+  }
+  for (size_t i = 0; i < (*built)->points().size(); ++i) {
+    const auto& a = (*served)->points()[i];
+    const auto& b = (*built)->points()[i];
+    if (a.inverse_ncp != b.inverse_ncp ||
+        a.expected_error != b.expected_error) {
+      return false;
+    }
+  }
+  return true;
+}
+
 // Phase 1: same seed + stream at several worker counts, faults armed.
-// Each worker count runs twice — curve cache + batched quoting on (the
-// default serving configuration) and both off (the request-at-a-time
-// control) — and every ledger must be byte-identical to every other:
+// A request-at-a-time reference run (1 worker, batch 1) comes first,
+// then every worker count with batched quoting (the default serving
+// configuration). Every ledger must be byte-identical to the reference,
+// and every run must have quoted from the curve a cold build produces:
 // the hot-path machinery may only change speed, never what is sold.
 void RunDeterminismPhase(int requests, uint64_t seed,
                          const std::string& fault_spec,
@@ -337,12 +417,12 @@ void RunDeterminismPhase(int requests, uint64_t seed,
               requests, fault_spec.c_str());
   struct RunConfig {
     int workers = 1;
-    bool use_cache = true;
+    int max_quote_batch = 16;
+    const char* phase = "determinism";
   };
-  std::vector<RunConfig> configs;
+  std::vector<RunConfig> configs = {{1, 1, "determinism_reference"}};
   for (int workers : worker_counts) {
-    configs.push_back({workers, true});
-    configs.push_back({workers, false});
+    configs.push_back({workers, 16, "determinism"});
   }
   std::vector<std::string> csvs;
   for (const RunConfig& config : configs) {
@@ -355,17 +435,12 @@ void RunDeterminismPhase(int requests, uint64_t seed,
         std::exit(2);
       }
     }
-    const std::string path =
-        TempJournalPath("det_w" + std::to_string(workers) +
-                        (config.use_cache ? "_cache" : "_nocache"));
-    std::remove(path.c_str());
-    Marketplace market = MakeMarket(seed, config.use_cache);
-    if (!market.EnableJournal(path, Journal::Options{}).ok()) {
-      std::exit(2);
-    }
+    SoloCatalog catalog("det_w" + std::to_string(workers) + "_b" +
+                            std::to_string(config.max_quote_batch),
+                        seed);
     MarketService service(
-        &market, SoakServiceOptions(seed, workers, requests,
-                                    config.use_cache ? 16 : 1));
+        catalog.get(), SoakServiceOptions(seed, workers, requests,
+                                          config.max_quote_batch));
     const Status started = service.Start();
     SOAK_CHECK(started.ok(), "det: Start failed: %s",
                started.ToString().c_str());
@@ -405,12 +480,15 @@ void RunDeterminismPhase(int requests, uint64_t seed,
                static_cast<long long>(stats.shed));
     SOAK_CHECK(stats.admitted + stats.shed == stats.submitted,
                "det(w=%d): admission accounting broken", workers);
+    Marketplace& market = catalog.market();
     CheckLedgerInvariants(market, ok_count, "det");
-    CheckRestore(path, market, seed, "det");
+    CheckRestore(catalog.journal_path(), market, seed, "det");
+    SOAK_CHECK(ServedCurveMatchesColdBuild(market, seed),
+               "det(w=%d): served curve differs from a cold build", workers);
     nimbus::fault::Reset();
 
     RunReport report;
-    report.phase = config.use_cache ? "determinism" : "determinism_cache_off";
+    report.phase = config.phase;
     report.workers = workers;
     report.submitted = stats.submitted;
     report.ok = ok_count;
@@ -432,24 +510,21 @@ void RunDeterminismPhase(int requests, uint64_t seed,
 
     csvs.push_back(market.ledger().ToCsv());
     std::printf(
-        "   workers=%d cache=%s: ok=%lld retries=%lld revenue=%.6f "
+        "   workers=%d batch=%d: ok=%lld retries=%lld revenue=%.6f "
         "(%.0f req/s, p99 %.0f us)\n",
-        workers, config.use_cache ? "on" : "off",
-        static_cast<long long>(ok_count),
+        workers, config.max_quote_batch, static_cast<long long>(ok_count),
         static_cast<long long>(retries_seen), market.total_revenue(),
         report.requests_per_second, report.p99_us);
-    std::remove(path.c_str());
   }
   for (size_t i = 1; i < csvs.size(); ++i) {
     SOAK_CHECK(csvs[i] == csvs[0],
-               "det: ledger at workers=%d cache=%s differs from workers=%d "
-               "cache=%s byte-wise",
-               configs[i].workers, configs[i].use_cache ? "on" : "off",
-               configs[0].workers, configs[0].use_cache ? "on" : "off");
+               "det: ledger at workers=%d batch=%d differs from workers=%d "
+               "batch=%d byte-wise",
+               configs[i].workers, configs[i].max_quote_batch,
+               configs[0].workers, configs[0].max_quote_batch);
   }
   std::printf(
-      "   ledger byte-identical across %zu runs (workers x cache on/off): "
-      "%s\n",
+      "   ledger byte-identical across %zu runs (workers x batching): %s\n",
       csvs.size(), g_violations == 0 ? "yes" : "NO");
 }
 
@@ -466,13 +541,8 @@ void RunOverloadPhase(int requests, uint64_t seed, int queue_capacity,
   const Status armed = nimbus::fault::Configure("service.enqueue:10:5");
   SOAK_CHECK(armed.ok(), "overload: fault arm failed");
 
-  const std::string path = TempJournalPath("overload");
-  std::remove(path.c_str());
-  Marketplace market = MakeMarket(seed);
-  if (!market.EnableJournal(path, Journal::Options{}).ok()) {
-    std::exit(2);
-  }
-  MarketService service(&market,
+  SoloCatalog catalog("overload", seed);
+  MarketService service(catalog.get(),
                         SoakServiceOptions(seed, workers, queue_capacity));
   const Status started = service.Start();
   SOAK_CHECK(started.ok(), "overload: Start failed");
@@ -559,8 +629,8 @@ void RunOverloadPhase(int requests, uint64_t seed, int queue_capacity,
              "overload: shed %lld exceeds the admission-capacity bound %lld",
              static_cast<long long>(shed_count),
              static_cast<long long>(total - queue_capacity + 5));
-  CheckLedgerInvariants(market, ok_count, "overload");
-  CheckRestore(path, market, seed, "overload");
+  CheckLedgerInvariants(catalog.market(), ok_count, "overload");
+  CheckRestore(catalog.journal_path(), catalog.market(), seed, "overload");
   nimbus::fault::Reset();
 
   RunReport report;
@@ -588,7 +658,6 @@ void RunOverloadPhase(int requests, uint64_t seed, int queue_capacity,
   std::printf("   submitted=%lld ok=%lld shed=%lld (rate %.3f) queue<=%d\n",
               static_cast<long long>(total), static_cast<long long>(ok_count),
               static_cast<long long>(shed_count), shed_rate, queue_capacity);
-  std::remove(path.c_str());
 }
 
 // Removes every durability artifact a checkpointed run leaves behind:
@@ -657,24 +726,19 @@ void RunCrashRecoveryDrill(int requests, uint64_t seed,
   }
   std::printf(")\n");
   for (int workers : worker_counts) {
-    const std::string path =
-        TempJournalPath("crash_w" + std::to_string(workers));
-    RemoveRecoveryFiles(path);
+    ShardOptions checkpointed;
+    checkpointed.enable_checkpoints = true;
+    checkpointed.checkpoint_policy.every_records = std::max(requests / 8, 16);
+    SoloCatalog catalog("crash_w" + std::to_string(workers), seed,
+                        checkpointed);
+    Marketplace& market = catalog.market();
+    const std::string& path = catalog.journal_path();
     // Counted tears: a few cadence snapshots fail mid-write/fsync and
     // must be absorbed without failing a single sale.
     const Status armed =
         nimbus::fault::Configure("snapshot.write:3:1,snapshot.fsync:5:1");
     SOAK_CHECK(armed.ok(), "crash: fault arm failed");
-    Marketplace market = MakeMarket(seed);
-    if (!market.EnableJournal(path, Journal::Options{}).ok()) {
-      std::exit(2);
-    }
-    CheckpointPolicy policy;
-    policy.every_records = std::max(requests / 8, 16);
-    const Status enabled = market.EnableCheckpoints(policy);
-    SOAK_CHECK(enabled.ok(), "crash: EnableCheckpoints failed: %s",
-               enabled.ToString().c_str());
-    MarketService service(&market,
+    MarketService service(catalog.get(),
                           SoakServiceOptions(seed, workers, requests));
     SOAK_CHECK(service.Start().ok(), "crash: Start failed");
     std::vector<std::future<PurchaseResult>> futures;
@@ -760,7 +824,6 @@ void RunCrashRecoveryDrill(int requests, uint64_t seed,
         fb_report.source == Marketplace::RestoreReport::Source::kFullReplay
             ? "full_replay"
             : "previous_snapshot");
-    RemoveRecoveryFiles(path);
   }
 }
 
@@ -991,8 +1054,6 @@ void RunShardedChaosPhase(uint64_t seed, bool fast,
   }
   std::printf(")\n");
 
-  using nimbus::market::Catalog;
-  using nimbus::market::CatalogOptions;
   using nimbus::market::Shard;
   using nimbus::market::ShardState;
 
@@ -1233,13 +1294,8 @@ void RunShardedChaosPhase(uint64_t seed, bool fast,
         report.p99_us);
 
     // Best-effort cleanup of the per-shard tree.
-    for (int p = 0; p < num_products; ++p) {
-      const std::string dir = root + "/shards/" + product_name(p);
-      RemoveRecoveryFiles(dir + "/journal");
-      ::rmdir(dir.c_str());
-    }
-    ::rmdir((root + "/shards").c_str());
-    ::rmdir(root.c_str());
+    std::error_code ignored;
+    std::filesystem::remove_all(root, ignored);
   }
 
   // The bulkhead seam may change speed, never what is sold: every
@@ -1305,17 +1361,17 @@ void RunAuditPhase(int requests, uint64_t seed,
   for (int workers : worker_counts) {
     for (int arm = 0; arm < 2; ++arm) {
       const bool audited = arm == 1;
+      SoloCatalog catalog("audit_w" + std::to_string(workers), seed);
       AuditorOptions auditor_options;
       auditor_options.pass_interval_seconds = 0.005;
       Auditor auditor(auditor_options);
-      Marketplace market = MakeMarket(seed);
       ServiceOptions service_options =
           SoakServiceOptions(seed, workers, requests);
       if (audited) {
         service_options.auditor = &auditor;
         auditor.Start();
       }
-      MarketService service(&market, service_options);
+      MarketService service(catalog.get(), service_options);
       SOAK_CHECK(service.Start().ok(), "audit: Start failed");
       nimbus::telemetry::Registry::Global().ResetForTest();
       const auto run_start = std::chrono::steady_clock::now();
@@ -1360,7 +1416,7 @@ void RunAuditPhase(int requests, uint64_t seed,
       audit_runs.push_back(run);
       // The headline non-perturbation claim: ledger bytes do not depend
       // on whether the auditor watched.
-      csvs.push_back(market.ledger().ToCsv());
+      csvs.push_back(catalog.market().ledger().ToCsv());
       std::printf("   workers=%d auditor=%s: ok=%lld (%.0f req/s, p50 %.0f us)\n",
                   workers, audited ? "on" : "off",
                   static_cast<long long>(ok_count), run.requests_per_second,
@@ -1394,11 +1450,11 @@ void RunAuditPhase(int requests, uint64_t seed,
   std::string drill_offering;
   int64_t drill_ticket = -1;
   {
+    SoloCatalog catalog("audit_drill", seed);
     Auditor auditor(AuditorOptions{});  // No loop: passes run on demand.
-    Marketplace market = MakeMarket(seed);
     ServiceOptions service_options = SoakServiceOptions(seed, 2, requests);
     service_options.auditor = &auditor;
-    MarketService service(&market, service_options);
+    MarketService service(catalog.get(), service_options);
     SOAK_CHECK(service.Start().ok(), "audit drill: Start failed");
     const Status armed = nimbus::fault::Configure(
         "audit.verify:" + std::to_string(fault_nth) + ":1");
@@ -1443,7 +1499,7 @@ void RunAuditPhase(int requests, uint64_t seed,
     // The ledger itself must be clean — the fault corrupted only the
     // auditor's sampled copy, so conservation and re-priced ledger rows
     // still hold (exactly one violation total proves it).
-    CheckLedgerInvariants(market, drill_requests, "audit drill");
+    CheckLedgerInvariants(catalog.market(), drill_requests, "audit drill");
     // Health report: a detected violation is quarantine-grade.
     const MarketService::HealthReport health = service.GetHealthReport();
     SOAK_CHECK(!health.healthy,
@@ -1545,7 +1601,7 @@ void RunAuditPhase(int requests, uint64_t seed,
 void RunAdminServeWindow(uint64_t seed, int port, double seconds) {
   std::printf("== phase 3: live admin window (port %d, %.1f s)\n", port,
               seconds);
-  Marketplace market = MakeMarket(seed);
+  SoloCatalog catalog("admin", seed);
   // Run the economic auditor live so /auditz and /statz serve real
   // verdicts and history during the curl window (detection-only; the
   // ledger is unaffected).
@@ -1554,7 +1610,7 @@ void RunAdminServeWindow(uint64_t seed, int port, double seconds) {
   nimbus::service::ServiceOptions service_options =
       SoakServiceOptions(seed, 2, 256);
   service_options.auditor = &auditor;
-  MarketService service(&market, service_options);
+  MarketService service(catalog.get(), service_options);
   const Status started = service.Start();
   SOAK_CHECK(started.ok(), "admin: Start failed: %s",
              started.ToString().c_str());

@@ -40,6 +40,26 @@ for name in $dupes; do
     status=1
 done
 
+# Metric names in src/ must be string literals: a name built at runtime
+# (say, one per price point) mints a new series per distinct value,
+# escapes the labeled families' cardinality cap, and puts a locked
+# registry lookup on the hot path. The Registry's own declarations and
+# definitions in common/telemetry.{h,cc} take the name as a parameter
+# and are exempt.
+dynamic=$(find "$root/src" \( -name '*.cc' -o -name '*.h' \) \
+        ! -path "$root/src/common/telemetry.cc" \
+        ! -path "$root/src/common/telemetry.h" -print |
+    while IFS= read -r f; do
+        tr '\n' ' ' < "$f" |
+            grep -oE 'Get(Counter|Gauge|Histogram)(Vec)?\( *[^" ][^)]{0,40}' |
+            sed "s|^|$f: |"
+    done)
+if [ -n "$dynamic" ]; then
+    echo "error: metric name is not a string literal (use a literal, or a labeled family for per-value series):" >&2
+    printf '%s\n' "$dynamic" | sed 's/^/  /' >&2
+    status=1
+fi
+
 # Every production (src/) registration — scalar or labeled family —
 # must appear in DESIGN.md's metrics table so operators can look up
 # what a scrape exports. Tests and benches may register throwaway

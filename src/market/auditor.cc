@@ -129,8 +129,7 @@ struct Auditor::Slot {
 
 struct Auditor::TapEntry {
   std::string product;
-  Shard* shard = nullptr;            // Catalog lanes.
-  Marketplace* fixed_market = nullptr;  // Legacy fixed-market lanes.
+  Shard* shard = nullptr;
   AuditTap tap;
 };
 
@@ -141,15 +140,15 @@ Auditor::Auditor(AuditorOptions options, const Clock* clock)
 
 Auditor::~Auditor() { Stop(); }
 
-void Auditor::AttachCatalog(Catalog* catalog) { catalog_ = catalog; }
+void Auditor::AttachCatalog(Catalog* catalog) {
+  catalog_.store(catalog, std::memory_order_release);
+}
 
-AuditTap* Auditor::RegisterLane(const std::string& product_id, Shard* shard,
-                                Marketplace* fixed_market) {
+AuditTap* Auditor::RegisterLane(const std::string& product_id, Shard* shard) {
   std::lock_guard<std::mutex> lock(taps_mu_);
   auto entry = std::make_unique<TapEntry>();
   entry->product = product_id;
   entry->shard = shard;
-  entry->fixed_market = fixed_market;
   entry->tap.index = static_cast<int32_t>(taps_.size());
   entry->tap.sample_rng = Rng(options_.seed ^ Fnv64(product_id));
   taps_.push_back(std::move(entry));
@@ -344,15 +343,10 @@ int Auditor::DrainAndCheck(std::vector<Violation>* out) {
     if (entry == nullptr) {
       continue;
     }
-    // Resolve the lane's current marketplace. Shard lanes go through
-    // the shard so an audit never reads a marketplace a recovery swap
-    // retired; the shared_ptr keeps it alive for the check.
-    std::shared_ptr<Marketplace> held;
-    Marketplace* market = entry->fixed_market;
-    if (entry->shard != nullptr) {
-      held = entry->shard->market();
-      market = held.get();
-    }
+    // Resolve the lane's current marketplace through the shard, so an
+    // audit never reads a marketplace a recovery swap retired; the
+    // shared_ptr keeps it alive for the check.
+    const std::shared_ptr<Marketplace> market = entry->shard->market();
     if (market == nullptr) {
       continue;
     }
@@ -487,34 +481,33 @@ int Auditor::CheckConservation(std::vector<Violation>* out) {
       out->push_back(std::move(v));
       continue;
     }
-    // (3b) Shard lanes: the shard's cached booked totals (what rollups
-    // and /shardz serve) must agree with the committed ledger total at
-    // the same sale count.
-    if (entry->shard != nullptr) {
-      const Shard::Stats stats = entry->shard->stats();
-      if (stats.sales == sales_after &&
-          std::abs(stats.revenue - booked_after) >
-              options_.revenue_tol * std::max(1.0, std::abs(booked_after))) {
-        Violation v;
-        v.invariant = AuditInvariant::kConservation;
-        v.product = entry->product;
-        std::ostringstream msg;
-        msg << "shard cached revenue ";
-        AppendDouble17(msg, stats.revenue);
-        msg << " != booked revenue ";
-        AppendDouble17(msg, booked_after);
-        msg << " at " << sales_after << " sales";
-        v.detail = msg.str();
-        out->push_back(std::move(v));
-      }
+    // (3b) The shard's cached booked totals (what rollups and /shardz
+    // serve) must agree with the committed ledger total at the same
+    // sale count.
+    const Shard::Stats stats = entry->shard->stats();
+    if (stats.sales == sales_after &&
+        std::abs(stats.revenue - booked_after) >
+            options_.revenue_tol * std::max(1.0, std::abs(booked_after))) {
+      Violation v;
+      v.invariant = AuditInvariant::kConservation;
+      v.product = entry->product;
+      std::ostringstream msg;
+      msg << "shard cached revenue ";
+      AppendDouble17(msg, stats.revenue);
+      msg << " != booked revenue ";
+      AppendDouble17(msg, booked_after);
+      msg << " at " << sales_after << " sales";
+      v.detail = msg.str();
+      out->push_back(std::move(v));
     }
   }
   // (3c) Cross-shard rollup: when every lane was readable and the
   // window was quiescent (no commit landed between our tap reads and
   // the rollup), the catalog rollup must equal the sum of the lanes'
   // booked totals.
-  if (catalog_ != nullptr && all_stable && !entries.empty()) {
-    const Catalog::Rollup rollup = catalog_->GetRollup();
+  Catalog* catalog = catalog_.load(std::memory_order_acquire);
+  if (catalog != nullptr && all_stable && !entries.empty()) {
+    const Catalog::Rollup rollup = catalog->GetRollup();
     bool quiescent = rollup.total_sales == sales_sum;
     if (quiescent) {
       for (TapEntry* entry : entries) {

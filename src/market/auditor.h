@@ -118,15 +118,11 @@ class Auditor {
   void AttachCatalog(Catalog* catalog);
 
   // Registers one serving lane; called by the serving layer before
-  // traffic starts. Exactly one of `shard` / `fixed_market` is set:
-  // shard lanes resolve their marketplace through the shard (so audits
-  // survive recovery swaps) and join the cross-shard rollup check;
-  // fixed-market lanes audit against the stable Marketplace pointer
-  // and get fingerprint conservation only. Both must outlive the
-  // auditor. The returned tap is owned by the auditor and valid for
-  // its lifetime.
-  AuditTap* RegisterLane(const std::string& product_id, Shard* shard,
-                         Marketplace* fixed_market);
+  // traffic starts. The lane resolves its marketplace through `shard`
+  // (so audits survive recovery swaps), which must outlive the auditor.
+  // The returned tap is owned by the auditor and valid for its
+  // lifetime.
+  AuditTap* RegisterLane(const std::string& product_id, Shard* shard);
 
   // What the commit path hands the auditor for one successful commit.
   struct CommitView {
@@ -210,7 +206,9 @@ class Auditor {
 
   const AuditorOptions options_;
   const Clock* const clock_;
-  Catalog* catalog_ = nullptr;
+  // Atomic: the serving layer attaches its catalog when it is built,
+  // which may be after the audit loop started.
+  std::atomic<Catalog*> catalog_{nullptr};
 
   // Tap table: registration happens before traffic (serving-layer
   // Start), reads after; guarded by taps_mu_ for the registration

@@ -110,8 +110,7 @@ Broker::Broker(data::TrainTestSplit split, ml::ModelSpec model,
       optimal_model_(std::move(optimal_model)),
       pricing_(std::make_shared<pricing::LinearPricing>(
           1.0, std::numeric_limits<double>::infinity(), "placeholder")),
-      curve_cache_(options.use_curve_cache ? std::make_shared<CurveCache>()
-                                           : nullptr),
+      curve_cache_(std::make_shared<CurveCache>()),
       eval_fingerprint_(FingerprintDataset(split_.test)),
       build_mu_(std::make_unique<std::mutex>()),
       rng_(options.seed) {
@@ -212,19 +211,6 @@ StatusOr<std::shared_ptr<const pricing::ErrorCurve>> Broker::GetErrorCurve(
   // with kNotFound and never occupy a cache slot.
   NIMBUS_ASSIGN_OR_RETURN(std::shared_ptr<const ml::Loss> loss,
                           model_.FindReportLoss(report_loss_name));
-  if (!curve_cache_enabled()) {
-    auto it = error_curves_.find(report_loss_name);
-    if (it != error_curves_.end()) {
-      return it->second;
-    }
-    NIMBUS_ASSIGN_OR_RETURN(pricing::ErrorCurve curve,
-                            BuildErrorCurve(*loss, cancel, trace));
-    auto [inserted, ok] = error_curves_.emplace(
-        report_loss_name,
-        std::make_shared<const pricing::ErrorCurve>(std::move(curve)));
-    NIMBUS_CHECK(ok);
-    return inserted->second;
-  }
   return curve_cache_->GetOrBuild(
       CurveKeyFor(report_loss_name),
       [&] { return BuildErrorCurve(*loss, cancel, trace); },

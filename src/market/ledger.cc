@@ -1,9 +1,7 @@
 #include "market/ledger.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <iterator>
 #include <limits>
@@ -41,17 +39,6 @@ telemetry::Counter& RecoveredRecordsCounter() {
   static telemetry::Counter& counter =
       telemetry::Registry::Global().GetCounter("journal_recovered_records");
   return counter;
-}
-
-std::string PricePointMetricName(double inverse_ncp) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.6g", inverse_ncp);
-  std::string name = "ledger_sales_point_";
-  for (const char* p = buf; *p != '\0'; ++p) {
-    const char c = *p;
-    name += (std::isalnum(static_cast<unsigned char>(c)) != 0) ? c : '_';
-  }
-  return name;
 }
 
 // RFC-4180 field quoting: fields containing the separator, quotes or
@@ -198,9 +185,6 @@ void Ledger::Commit(const LedgerEntry& entry) {
   const std::string offering(ml::ModelKindToString(entry.model));
   LedgerSalesVec().WithLabel(offering).Increment();
   LedgerRevenueVec().WithLabel(offering).Add(entry.price);
-  telemetry::Registry::Global()
-      .GetCounter(PricePointMetricName(entry.inverse_ncp))
-      .Increment();
 }
 
 StatusOr<int64_t> Ledger::Record(const std::string& buyer_id,
@@ -298,11 +282,6 @@ StatusOr<Ledger> Ledger::FromRecoveredState(
     LedgerRevenueVec()
         .WithLabel(std::string(ml::ModelKindToString(model)))
         .Add(revenue);
-  }
-  for (const auto& [inverse_ncp, sales] : ledger.sales_per_price_point_) {
-    telemetry::Registry::Global()
-        .GetCounter(PricePointMetricName(inverse_ncp))
-        .Increment(sales);
   }
   return ledger;
 }

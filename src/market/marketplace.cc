@@ -273,12 +273,10 @@ Status Marketplace::AddOffering(
   broker.SetPricingFunction(pricing);
   // All offerings share one cache; per-offering seeds (and model names)
   // keep their curve keys disjoint.
-  if (options.use_curve_cache) {
-    if (curve_cache_ == nullptr) {
-      curve_cache_ = std::make_shared<CurveCache>();
-    }
-    broker.AttachCurveCache(curve_cache_);
+  if (curve_cache_ == nullptr) {
+    curve_cache_ = std::make_shared<CurveCache>();
   }
+  broker.AttachCurveCache(curve_cache_);
   brokers_.emplace(kind, std::move(broker));
   pricing_.emplace(kind, pricing);
   monitors_.emplace(kind, CollusionMonitor(pricing));

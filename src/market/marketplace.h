@@ -214,15 +214,14 @@ class Marketplace {
   std::vector<std::string> SuspiciousBuyers() const;
 
   // The error-curve cache shared by every offering's broker (nullptr
-  // when Broker::Options::use_curve_cache is off). Exposed so the
-  // serving layer and the soak can assert on hit/miss/single-flight
-  // telemetry.
+  // until the first AddOffering). Exposed so the serving layer and the
+  // soak can assert on hit/miss/single-flight telemetry.
   const CurveCache* curve_cache() const { return curve_cache_.get(); }
 
  private:
   data::TrainTestSplit split_;
   Broker::Options options_;
-  // Created lazily by the first AddOffering with use_curve_cache set.
+  // Created lazily by the first AddOffering.
   std::shared_ptr<CurveCache> curve_cache_;
   std::vector<ml::ModelKind> offering_order_;
   std::map<ml::ModelKind, Broker> brokers_;

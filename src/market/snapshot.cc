@@ -315,6 +315,14 @@ StatusOr<std::vector<LedgerEntry>> DecodeLedg(const std::string& path,
   if (!ReadScalar(payload, offset, &count) || count < 0) {
     return CorruptError(path, "undecodable LEDG section");
   }
+  // Every record carries at least its uint32 length prefix, so a count
+  // the remaining payload cannot hold is corrupt — reject it before it
+  // sizes an allocation.
+  if (static_cast<uint64_t>(count) >
+      (payload.size() - offset) / sizeof(uint32_t)) {
+    return CorruptError(path, "LEDG record count " + std::to_string(count) +
+                                  " exceeds the section payload");
+  }
   std::vector<LedgerEntry> entries;
   entries.reserve(static_cast<size_t>(count));
   for (int64_t i = 0; i < count; ++i) {

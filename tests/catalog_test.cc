@@ -283,18 +283,24 @@ TEST_F(CatalogTest, ShardedServiceIsolatesFaultedShard) {
   EXPECT_TRUE(service.Drain().ok());
 }
 
-TEST_F(CatalogTest, ShardedServiceRejectsUnroutableRequests) {
-  Marketplace single = *MakeFactory(50)();
-  service::MarketService legacy(&single, service::ServiceOptions{});
-  ASSERT_TRUE(legacy.Start().ok());
+TEST_F(CatalogTest, ServiceOverEmptyCatalogRefusesToStart) {
+  CatalogOptions options;
+  options.root_dir = FreshRoot("catalog_empty_service");
+  Catalog catalog(options);
+  service::MarketService service(&catalog, service::ServiceOptions{});
+  const Status started = service.Start();
+  EXPECT_EQ(started.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(started.message().find("no shards"), std::string::npos)
+      << started;
+  // Never started: submissions fail typed, and there is nothing to drain.
   service::PurchaseRequest request;
   request.buyer_id = "alice";
   request.model = ml::ModelKind::kLogisticRegression;
   request.inverse_ncp = 2.0;
-  request.product_id = "wine";  // No catalog behind this service.
-  EXPECT_EQ(legacy.Submit(request).get().status.code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_TRUE(legacy.Drain().ok());
+  EXPECT_EQ(service.Submit(request).get().status.code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(service.Drain().code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(service.ShardViews().empty());
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "market/marketplace.h"
 #include "market/snapshot.h"
 #include "service/service.h"
+#include "single_shard_catalog.h"
 
 namespace nimbus::market {
 namespace {
@@ -259,22 +260,17 @@ service::PurchaseRequest MakeRequest(int i) {
   return request;
 }
 
-// Runs `n` requests through a MarketService over a fresh market with
-// checkpointing armed, drains, and returns the final ledger CSV.
-std::string RunServiceWorkload(const std::string& path, int num_workers,
-                               int n, int64_t every_records) {
-  RemoveCheckpointFiles(path);
-  Marketplace market = MakeMarket(35);
-  EXPECT_TRUE(market.EnableJournal(path).ok());
-  CheckpointPolicy policy;
-  policy.every_records = every_records;
-  EXPECT_TRUE(market.EnableCheckpoints(policy).ok());
+// Shard options with checkpointing armed at a record cadence (0 = no
+// cadence checkpoints).
+ShardOptions CheckpointedShard(int64_t every_records) {
+  ShardOptions shard;
+  shard.enable_checkpoints = true;
+  shard.checkpoint_policy.every_records = every_records;
+  return shard;
+}
 
-  service::ServiceOptions options;
-  options.num_workers = num_workers;
-  options.queue_capacity = 2 * n;
-  service::MarketService service(&market, options);
-  EXPECT_TRUE(service.Start().ok());
+// Submits `n` requests and waits for every one to succeed.
+void RunRequests(service::MarketService& service, int n) {
   std::vector<std::future<service::PurchaseResult>> futures;
   futures.reserve(n);
   for (int i = 0; i < n; ++i) {
@@ -284,73 +280,74 @@ std::string RunServiceWorkload(const std::string& path, int num_workers,
     const service::PurchaseResult result = future.get();
     EXPECT_TRUE(result.status.ok()) << result.status.ToString();
   }
+}
+
+// Runs `n` requests through a MarketService over a fresh checkpointed
+// 1-shard catalog, drains, checks that the snapshot chain restores the
+// ledger bit-for-bit, and returns the final ledger CSV.
+std::string RunServiceWorkload(const std::string& name, int num_workers,
+                               int n, int64_t every_records) {
+  testing::SingleShardCatalog catalog(
+      name, [] { return MakeMarket(35); }, CheckpointedShard(every_records));
+  service::ServiceOptions options;
+  options.num_workers = num_workers;
+  options.queue_capacity = 2 * n;
+  service::MarketService service(catalog.get(), options);
+  EXPECT_TRUE(service.Start().ok());
+  RunRequests(service, n);
   EXPECT_TRUE(service.Drain().ok());
-  EXPECT_GE(market.CheckpointStats()->checkpoints, 1);
-  return market.ledger().ToCsv();
+  EXPECT_GE(catalog.market().CheckpointStats()->checkpoints, 1);
+  const std::string csv = catalog.market().ledger().ToCsv();
+
+  Marketplace restored = MakeMarket(35);
+  Marketplace::RestoreReport report;
+  EXPECT_TRUE(restored
+                  .RestoreFromCheckpoint(catalog.journal_path(),
+                                         Marketplace::RestoreOptions{},
+                                         &report)
+                  .ok());
+  EXPECT_EQ(restored.ledger().ToCsv(), csv);
+  EXPECT_GT(report.snapshot_records, 0);
+  return csv;
 }
 
 TEST_F(CheckpointerTest, CheckpointOnDrainLeavesFreshSnapshot) {
-  const std::string path = TempPath("nimbus_ckpt_drain.waj");
-  RemoveCheckpointFiles(path);
-  Marketplace market = MakeMarket(36);
-  ASSERT_TRUE(market.EnableJournal(path).ok());
-  ASSERT_TRUE(market.EnableCheckpoints(CheckpointPolicy{}).ok());
-
+  testing::SingleShardCatalog catalog(
+      "ckpt_drain", [] { return MakeMarket(36); },
+      CheckpointedShard(/*every_records=*/0));  // Drain-time checkpoint only.
   service::ServiceOptions options;
   options.num_workers = 2;
   options.queue_capacity = 32;
-  service::MarketService service(&market, options);
+  service::MarketService service(catalog.get(), options);
   ASSERT_TRUE(service.Start().ok());
-  std::vector<std::future<service::PurchaseResult>> futures;
-  for (int i = 0; i < 9; ++i) {
-    futures.push_back(service.Submit(MakeRequest(i)));
-  }
-  for (auto& future : futures) {
-    ASSERT_TRUE(future.get().status.ok());
-  }
+  RunRequests(service, 9);
   ASSERT_TRUE(service.Drain().ok());
 
   // Drain committed a snapshot covering every sale; a restart replays
   // an empty tail.
-  EXPECT_EQ(market.CheckpointStats()->checkpoints, 1);
+  EXPECT_EQ(catalog.market().CheckpointStats()->checkpoints, 1);
   Marketplace restored = MakeMarket(36);
   Marketplace::RestoreReport report;
   ASSERT_TRUE(restored
-                  .RestoreFromCheckpoint(path, Marketplace::RestoreOptions{},
+                  .RestoreFromCheckpoint(catalog.journal_path(),
+                                         Marketplace::RestoreOptions{},
                                          &report)
                   .ok());
   EXPECT_EQ(report.source, Marketplace::RestoreReport::Source::kSnapshot);
   EXPECT_EQ(report.snapshot_records, 9);
   EXPECT_EQ(report.tail_records, 0);
-  EXPECT_EQ(restored.ledger().ToCsv(), market.ledger().ToCsv());
-  RemoveCheckpointFiles(path);
+  EXPECT_EQ(restored.ledger().ToCsv(), catalog.market().ledger().ToCsv());
 }
 
 TEST_F(CheckpointerTest, ConcurrentCheckpointWhileQuotingStaysDeterministic) {
   // Cadence checkpoints fire mid-traffic while other workers are
   // quoting. The ledger must be byte-identical across worker counts,
-  // and a crash-restart must restore it bit-for-bit.
-  const std::string base_path = TempPath("nimbus_ckpt_tsan_w1.waj");
-  const std::string wide_path = TempPath("nimbus_ckpt_tsan_w4.waj");
+  // and a crash-restart must restore it bit-for-bit (checked inside
+  // RunServiceWorkload for both trees).
   const int n = 48;
-  const std::string csv_one = RunServiceWorkload(base_path, 1, n, 8);
-  const std::string csv_four = RunServiceWorkload(wide_path, 4, n, 8);
+  const std::string csv_one = RunServiceWorkload("ckpt_tsan_w1", 1, n, 8);
+  const std::string csv_four = RunServiceWorkload("ckpt_tsan_w4", 4, n, 8);
   EXPECT_EQ(csv_one, csv_four);
-
-  // Both trees restore bit-identically from their checkpoint chains.
-  for (const std::string& path : {base_path, wide_path}) {
-    Marketplace restored = MakeMarket(35);
-    Marketplace::RestoreReport report;
-    ASSERT_TRUE(restored
-                    .RestoreFromCheckpoint(path,
-                                           Marketplace::RestoreOptions{},
-                                           &report)
-                    .ok());
-    EXPECT_EQ(restored.ledger().ToCsv(), csv_one);
-    EXPECT_GT(report.snapshot_records, 0);
-  }
-  RemoveCheckpointFiles(base_path);
-  RemoveCheckpointFiles(wide_path);
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "market/marketplace.h"
 #include "mechanism/noise_mechanism.h"
 #include "service/service.h"
+#include "single_shard_catalog.h"
 
 namespace nimbus::market {
 namespace {
@@ -314,13 +315,12 @@ data::TrainTestSplit ClassificationSplit(uint64_t seed) {
   return data::Split(all, 0.75, rng);
 }
 
-Broker::Options FastOptions(bool use_cache) {
+Broker::Options FastOptions() {
   Broker::Options options;
   options.error_curve_points = 6;
   options.samples_per_curve_point = 40;
   options.min_inverse_ncp = 1.0;
   options.max_inverse_ncp = 50.0;
-  options.use_curve_cache = use_cache;
   return options;
 }
 
@@ -331,8 +331,8 @@ std::shared_ptr<const pricing::PricingFunction> SomeMbpPricing() {
   return *seller.NegotiatePricing();
 }
 
-Marketplace MakeMarket(uint64_t seed, bool use_cache) {
-  Marketplace market(ClassificationSplit(seed), FastOptions(use_cache));
+Marketplace MakeMarket(uint64_t seed) {
+  Marketplace market(ClassificationSplit(seed), FastOptions());
   EXPECT_TRUE(market
                   .AddOffering(ml::ModelKind::kLogisticRegression, 0.01,
                                SomeMbpPricing())
@@ -341,7 +341,7 @@ Marketplace MakeMarket(uint64_t seed, bool use_cache) {
 }
 
 TEST(CurveCacheBrokerTest, MarketplaceOfferingsShareOneCache) {
-  Marketplace market = MakeMarket(11, /*use_cache=*/true);
+  Marketplace market = MakeMarket(11);
   ASSERT_TRUE(
       market.AddOffering(ml::ModelKind::kLinearSvm, 0.05, SomeMbpPricing())
           .ok());
@@ -352,51 +352,12 @@ TEST(CurveCacheBrokerTest, MarketplaceOfferingsShareOneCache) {
   EXPECT_EQ(cache->size(), 2u);  // Per-offering seeds keep keys disjoint.
   for (ml::ModelKind kind : market.Offerings()) {
     Broker* broker = *market.BrokerFor(kind);
-    EXPECT_TRUE(broker->curve_cache_enabled());
     EXPECT_EQ(broker->curve_cache(), cache);
   }
 }
 
-TEST(CurveCacheBrokerTest, CacheOffFallsBackToLegacyMap) {
-  Marketplace market = MakeMarket(11, /*use_cache=*/false);
-  EXPECT_EQ(market.curve_cache(), nullptr);
-  Broker* broker = *market.BrokerFor(ml::ModelKind::kLogisticRegression);
-  EXPECT_FALSE(broker->curve_cache_enabled());
-  const std::string loss = broker->model().report_losses().front()->name();
-  StatusOr<std::shared_ptr<const pricing::ErrorCurve>> curve =
-      broker->GetErrorCurve(loss);
-  StatusOr<std::shared_ptr<const pricing::ErrorCurve>> again =
-      broker->GetErrorCurve(loss);
-  ASSERT_TRUE(curve.ok());
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(curve->get(), again->get());
-}
-
-TEST(CurveCacheBrokerTest, CacheOnAndOffBuildBitIdenticalCurves) {
-  Marketplace cached = MakeMarket(11, /*use_cache=*/true);
-  Marketplace legacy = MakeMarket(11, /*use_cache=*/false);
-  Broker* cached_broker = *cached.BrokerFor(ml::ModelKind::kLogisticRegression);
-  Broker* legacy_broker = *legacy.BrokerFor(ml::ModelKind::kLogisticRegression);
-  const std::string loss =
-      cached_broker->model().report_losses().front()->name();
-
-  StatusOr<std::shared_ptr<const pricing::ErrorCurve>> a =
-      cached_broker->GetErrorCurve(loss);
-  StatusOr<std::shared_ptr<const pricing::ErrorCurve>> b =
-      legacy_broker->GetErrorCurve(loss);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  const auto& pa = (*a)->points();
-  const auto& pb = (*b)->points();
-  ASSERT_EQ(pa.size(), pb.size());
-  for (size_t i = 0; i < pa.size(); ++i) {
-    EXPECT_EQ(pa[i].inverse_ncp, pb[i].inverse_ncp);
-    EXPECT_EQ(pa[i].expected_error, pb[i].expected_error);  // Exact bits.
-  }
-}
-
 TEST(CurveCacheBrokerTest, QuoteBatchMatchesSingleQuotesBitForBit) {
-  Marketplace market = MakeMarket(11, /*use_cache=*/true);
+  Marketplace market = MakeMarket(11);
   Broker* broker = *market.BrokerFor(ml::ModelKind::kLogisticRegression);
   const std::string loss = broker->model().report_losses().front()->name();
   StatusOr<std::shared_ptr<const pricing::ErrorCurve>> curve =
@@ -456,54 +417,98 @@ TEST(CurveCacheBrokerTest, QuoteBatchMatchesSingleQuotesBitForBit) {
   EXPECT_TRUE(mixed_results[1].ok());
 }
 
-// The headline regression: the full serving stack produces the same
-// ledger bytes with the cache + batching on as with both off, even with
-// counted faults armed — caching must never change what is sold.
+// The headline regressions: caching and batching may change speed,
+// never what is sold. The curve the service quotes from is the curve a
+// cold build produces, and ledger bytes do not depend on worker count or
+// batch size — even with counted faults armed.
 class CurveCacheLedgerTest : public ::testing::Test {
  protected:
   void SetUp() override { fault::Reset(); }
   void TearDown() override { fault::Reset(); }
 };
 
-TEST_F(CurveCacheLedgerTest, LedgerBytesIdenticalCacheOnVsOff) {
-  constexpr uint64_t kSeed = 91;
-  constexpr int kRequests = 120;
-  auto run = [&](bool use_cache, int workers, int max_batch) -> std::string {
-    EXPECT_TRUE(fault::Configure(
-                    "service.execute:7:3,broker.quote:23:3,journal.append:11:2")
-                    .ok());
-    Marketplace market = MakeMarket(kSeed, use_cache);
-    service::ServiceOptions options;
-    options.num_workers = workers;
-    options.queue_capacity = kRequests;
-    options.max_quote_batch = max_batch;
-    options.quote_retry.max_attempts = 6;
-    options.journal_retry.max_attempts = 4;
-    options.seed = kSeed;
-    service::MarketService service(&market, options);
-    EXPECT_TRUE(service.Start().ok());
-    std::vector<std::future<service::PurchaseResult>> futures;
-    for (int i = 0; i < kRequests; ++i) {
-      service::PurchaseRequest request;
-      request.buyer_id = "buyer-" + std::to_string(i % 7);
-      request.model = ml::ModelKind::kLogisticRegression;
-      request.inverse_ncp = 1.5 + (i % 37);
-      futures.push_back(service.Submit(std::move(request)));
-    }
-    for (auto& future : futures) {
-      EXPECT_TRUE(future.get().status.ok());
-    }
-    EXPECT_TRUE(service.Drain().ok());
-    fault::Reset();
-    return market.ledger().ToCsv();
-  };
+constexpr uint64_t kLedgerSeed = 91;
+constexpr int kLedgerRequests = 120;
 
-  const std::string baseline =
-      run(/*use_cache=*/false, /*workers=*/1, /*max_batch=*/1);
+// Serves kLedgerRequests through a 1-shard catalog with counted faults
+// armed and returns the drained ledger's CSV; `served` (optional)
+// receives the curve the service quoted from.
+std::string ServeLedger(int workers, int max_batch,
+                        std::shared_ptr<const pricing::ErrorCurve>* served =
+                            nullptr) {
+  EXPECT_TRUE(fault::Configure(
+                  "service.execute:7:3,broker.quote:23:3,journal.append:11:2")
+                  .ok());
+  testing::SingleShardCatalog catalog(
+      "curve_cache_ledger", [] { return MakeMarket(kLedgerSeed); });
+  service::ServiceOptions options;
+  options.num_workers = workers;
+  options.queue_capacity = kLedgerRequests;
+  options.max_quote_batch = max_batch;
+  options.quote_retry.max_attempts = 6;
+  options.journal_retry.max_attempts = 4;
+  options.seed = kLedgerSeed;
+  service::MarketService service(catalog.get(), options);
+  EXPECT_TRUE(service.Start().ok());
+  std::vector<std::future<service::PurchaseResult>> futures;
+  for (int i = 0; i < kLedgerRequests; ++i) {
+    service::PurchaseRequest request;
+    request.buyer_id = "buyer-" + std::to_string(i % 7);
+    request.model = ml::ModelKind::kLogisticRegression;
+    request.inverse_ncp = 1.5 + (i % 37);
+    futures.push_back(service.Submit(std::move(request)));
+  }
+  for (auto& future : futures) {
+    EXPECT_TRUE(future.get().status.ok());
+  }
+  EXPECT_TRUE(service.Drain().ok());
+  fault::Reset();
+  if (served != nullptr) {
+    Broker* broker =
+        *catalog.market().BrokerFor(ml::ModelKind::kLogisticRegression);
+    const std::string loss = broker->model().report_losses().front()->name();
+    // Built once at Start, then only ever hit: version 1 is the curve
+    // every request was quoted from.
+    EXPECT_EQ(catalog.market().curve_cache()->VersionOf(
+                  broker->CurveKeyFor(loss)),
+              1);
+    *served = *broker->GetErrorCurve(loss);
+  }
+  return catalog.market().ledger().ToCsv();
+}
+
+TEST_F(CurveCacheLedgerTest, ServedCurveEqualsColdBuildBitForBit) {
+  std::shared_ptr<const pricing::ErrorCurve> served;
+  ServeLedger(/*workers=*/4, /*max_batch=*/16, &served);
+  ASSERT_NE(served, nullptr);
+
+  // Reference: the same CurveKey built cold through a fresh cache.
+  Marketplace cold = MakeMarket(kLedgerSeed);
+  Broker* broker = *cold.BrokerFor(ml::ModelKind::kLogisticRegression);
+  const std::string loss = broker->model().report_losses().front()->name();
+  StatusOr<std::shared_ptr<const pricing::ErrorCurve>> reference =
+      broker->GetErrorCurve(loss);
+  ASSERT_TRUE(reference.ok());
+  EXPECT_EQ(cold.curve_cache()->stats().builds, 1);
+  EXPECT_NE(reference->get(), served.get());  // Two independent builds.
+
+  EXPECT_EQ((*reference)->degraded(), served->degraded());
+  const auto& want = (*reference)->points();
+  const auto& got = served->points();
+  ASSERT_EQ(want.size(), got.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].inverse_ncp, got[i].inverse_ncp);
+    EXPECT_EQ(want[i].expected_error, got[i].expected_error);  // Exact bits.
+  }
+}
+
+TEST_F(CurveCacheLedgerTest, LedgerBytesIdenticalAcrossWorkersAndBatching) {
+  // Reference: one worker quoting request-at-a-time.
+  const std::string baseline = ServeLedger(/*workers=*/1, /*max_batch=*/1);
   ASSERT_FALSE(baseline.empty());
   for (int workers : {1, 4, 8}) {
-    const std::string csv = run(/*use_cache=*/true, workers, /*max_batch=*/16);
-    EXPECT_EQ(csv, baseline) << "workers=" << workers;
+    EXPECT_EQ(ServeLedger(workers, /*max_batch=*/16), baseline)
+        << "workers=" << workers;
   }
 }
 

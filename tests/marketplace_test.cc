@@ -75,7 +75,6 @@ TEST(LedgerTest, RecordAndQueries) {
   auto& revenue_vec = registry.GetGaugeVec("ledger_revenue_total", "offering");
   EXPECT_DOUBLE_EQ(revenue_vec.WithLabel(svm).Value(), 65.0);
   EXPECT_DOUBLE_EQ(revenue_vec.WithLabel(logistic).Value(), 10.0);
-  EXPECT_EQ(registry.GetCounter("ledger_sales_point_4").Value(), 2);
   EXPECT_DOUBLE_EQ(ledger.RevenueForModel(ml::ModelKind::kLinearSvm), 65.0);
   EXPECT_DOUBLE_EQ(
       ledger.RevenueForModel(ml::ModelKind::kLinearRegression), 0.0);

@@ -4,7 +4,9 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -41,6 +43,44 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
   std::ofstream file(path, std::ios::binary | std::ios::trunc);
   file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   ASSERT_TRUE(file.good()) << path;
+}
+
+// Rewrites the LEDG section's record count to `count` and re-seals the
+// image: the section CRC, the footer's copy of it and the footer CRC are
+// all recomputed, so only the decoder's own bounds checks stand between
+// the forged count and an allocation.
+std::string ForgeLedgCount(std::string bytes, int64_t count) {
+  const uint32_t ledg = 'L' | 'E' << 8 | 'D' << 16 | 'G' << 24;
+  const uint32_t foot = 'F' | 'O' << 8 | 'O' << 16 | 'T' << 24;
+  uint32_t ledg_crc = 0;
+  size_t offset = 8;  // Past the magic.
+  while (offset < bytes.size()) {
+    uint32_t tag = 0;
+    uint64_t len = 0;
+    std::memcpy(&tag, bytes.data() + offset, sizeof(tag));
+    std::memcpy(&len, bytes.data() + offset + 8, sizeof(len));
+    char* crc_at = bytes.data() + offset + 16;
+    char* payload = bytes.data() + offset + 20;
+    if (tag == ledg) {
+      std::memcpy(payload, &count, sizeof(count));
+      ledg_crc = Journal::Crc32(payload, static_cast<size_t>(len));
+      std::memcpy(crc_at, &ledg_crc, sizeof(ledg_crc));
+    } else if (tag == foot) {
+      // u32 section count, then (u32 tag, u64 offset, u64 len, u32 crc).
+      for (size_t row = 4; row < len; row += 24) {
+        uint32_t row_tag = 0;
+        std::memcpy(&row_tag, payload + row, sizeof(row_tag));
+        if (row_tag == ledg) {
+          std::memcpy(payload + row + 20, &ledg_crc, sizeof(ledg_crc));
+        }
+      }
+      const uint32_t foot_crc =
+          Journal::Crc32(payload, static_cast<size_t>(len));
+      std::memcpy(crc_at, &foot_crc, sizeof(foot_crc));
+    }
+    offset += 20 + static_cast<size_t>(len);
+  }
+  return bytes;
 }
 
 // A state exercising every section: multiple models, buyers with
@@ -196,6 +236,31 @@ TEST(SnapshotTest, BitFlipAtEveryByteIsRejected) {
     deep.load_entries = true;
     EXPECT_FALSE(snapshot::Read(path, deep).ok())
         << "deep read accepted a bit flip at byte " << offset;
+  }
+  std::remove(path.c_str());
+}
+
+// A forged LEDG record count behind valid CRCs must fail as a typed
+// corruption error before it sizes any allocation — never a throw.
+TEST(SnapshotTest, ForgedLedgCountIsRejectedBeforeAllocating) {
+  const std::string path = TempPath("nimbus_snapshot_forged_count.snap");
+  ASSERT_TRUE(snapshot::Write(path, SampleState()).ok());
+  const std::string pristine = ReadFileBytes(path);
+  for (const int64_t count : {int64_t{1} << 40, int64_t{1} << 62,
+                              std::numeric_limits<int64_t>::max()}) {
+    WriteFileBytes(path, ForgeLedgCount(pristine, count));
+    // The shallow read skips the LEDG payload, so the forged count is
+    // only visible to the entry decoder.
+    EXPECT_TRUE(snapshot::Read(path).ok()) << count;
+    snapshot::ReadOptions deep;
+    deep.load_entries = true;
+    const StatusOr<snapshot::State> state = snapshot::Read(path, deep);
+    EXPECT_EQ(state.status().code(), StatusCode::kInternal) << count;
+    EXPECT_NE(state.status().message().find("LEDG record count"),
+              std::string::npos)
+        << state.status();
+    EXPECT_EQ(snapshot::ReadEntries(path).status().code(),
+              StatusCode::kInternal);
   }
   std::remove(path.c_str());
 }
@@ -524,6 +589,38 @@ TEST(SnapshotLadderTest, BothGenerationsCorruptFallsBackToFullReplay) {
   EXPECT_EQ(report.tail_records, 9);
   EXPECT_EQ(report.snapshots_rejected, 2);
   ExpectBitIdenticalRestore(fixture, restored);
+}
+
+// The recovery ladder treats a forged LEDG count like any other rotted
+// generation: the newest is rejected and the previous one restores
+// bit-identically; with both forged, full replay takes over.
+TEST(SnapshotLadderTest, ForgedLedgCountFallsBackBitIdentically) {
+  const LadderFixture fixture =
+      BuildLadderFixture("nimbus_ladder_forged.waj");
+  WriteFileBytes(fixture.newest_snapshot,
+                 ForgeLedgCount(fixture.pristine_newest, int64_t{1} << 62));
+  Marketplace restored = MakeMarket(17);
+  Marketplace::RestoreReport report;
+  Status status = restored.RestoreFromCheckpoint(
+      fixture.journal_path, Marketplace::RestoreOptions{}, &report);
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_EQ(report.source,
+            Marketplace::RestoreReport::Source::kPreviousSnapshot);
+  EXPECT_EQ(report.generation, 1);
+  EXPECT_EQ(report.snapshots_rejected, 1);
+  ExpectBitIdenticalRestore(fixture, restored);
+
+  const std::string gen1 = snapshot::SnapshotPath(fixture.journal_path, 1);
+  WriteFileBytes(gen1, ForgeLedgCount(ReadFileBytes(gen1), int64_t{1} << 62));
+  Marketplace replayed = MakeMarket(17);
+  Marketplace::RestoreReport replay_report;
+  status = replayed.RestoreFromCheckpoint(
+      fixture.journal_path, Marketplace::RestoreOptions{}, &replay_report);
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_EQ(replay_report.source,
+            Marketplace::RestoreReport::Source::kFullReplay);
+  EXPECT_EQ(replay_report.snapshots_rejected, 2);
+  ExpectBitIdenticalRestore(fixture, replayed);
 }
 
 TEST(SnapshotLadderTest, DeferredHydrationRestoresAggregatesThenRows) {
