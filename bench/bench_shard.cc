@@ -30,6 +30,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <string>
@@ -44,7 +45,6 @@
 #include "market/curves.h"
 #include "market/market_simulator.h"
 #include "market/marketplace.h"
-#include "market/snapshot.h"
 #include "service/service.h"
 
 namespace {
@@ -172,23 +172,6 @@ std::string TempRoot(const std::string& tag) {
          std::to_string(static_cast<long>(::getpid())) + "_" + tag + ".d";
 }
 
-// Best-effort removal of one shard directory's recovery file family.
-void RemoveShardFiles(const std::string& dir) {
-  const std::string journal = dir + "/journal";
-  std::remove(journal.c_str());
-  std::remove((journal + ".prev").c_str());
-  const std::string manifest = nimbus::market::snapshot::ManifestPath(journal);
-  std::remove(manifest.c_str());
-  std::remove((manifest + ".tmp").c_str());
-  for (int64_t generation = 1; generation <= 256; ++generation) {
-    const std::string snap =
-        nimbus::market::snapshot::SnapshotPath(journal, generation);
-    std::remove(snap.c_str());
-    std::remove((snap + ".tmp").c_str());
-  }
-  ::rmdir(dir.c_str());
-}
-
 CatalogOptions BenchCatalogOptions(const std::string& root) {
   CatalogOptions catalog_options;
   catalog_options.root_dir = root;
@@ -213,12 +196,11 @@ void PopulateCatalog(Catalog& catalog, int num_shards, uint64_t seed) {
   }
 }
 
-void CleanupCatalog(const std::string& root, int num_shards) {
-  for (int p = 0; p < num_shards; ++p) {
-    RemoveShardFiles(root + "/shards/" + ProductName(p));
-  }
-  ::rmdir((root + "/shards").c_str());
-  ::rmdir(root.c_str());
+// Best-effort removal of the catalog root and everything under it
+// (journal segments, snapshots, manifests).
+void CleanupCatalog(const std::string& root) {
+  std::error_code ignored;
+  std::filesystem::remove_all(root, ignored);
 }
 
 struct CellReport {
@@ -312,7 +294,7 @@ CellReport RunCell(int num_shards, int workers, int requests, uint64_t seed) {
 
   const Status drained = service.Drain();
   BENCH_CHECK(drained.ok(), "Drain failed: %s", drained.ToString().c_str());
-  CleanupCatalog(root, num_shards);
+  CleanupCatalog(root);
   return report;
 }
 
@@ -429,7 +411,7 @@ BlastReport RunBlast(int num_shards, int workers, int requests,
   const Status drained = service.Drain();
   BENCH_CHECK(drained.ok(), "blast Drain failed: %s",
               drained.ToString().c_str());
-  CleanupCatalog(root, num_shards);
+  CleanupCatalog(root);
   return report;
 }
 

@@ -8,8 +8,9 @@
 //   and once at 1 worker request-at-a-time. Every injected fault must
 //   be absorbed by a retry, the final ledger must be byte-identical
 //   across all runs, and the curve every run quoted from must equal a
-//   cold build bit-for-bit. The journal must restore a fresh
-//   marketplace bit-identically (RestoreFromJournal CSV == live CSV)
+//   cold build bit-for-bit. The journal chain must hold exactly the
+//   ledger's rows, and a full replay of it must restore a fresh
+//   marketplace bit-identically (equal sales, fingerprint and revenue)
 //   after every run.
 //
 //   Every single-product phase serves a 1-shard catalog (product
@@ -109,6 +110,7 @@ namespace {
 using nimbus::Rng;
 using nimbus::Status;
 using nimbus::StatusCode;
+using nimbus::StatusOr;
 using nimbus::market::Broker;
 using nimbus::market::Catalog;
 using nimbus::market::CatalogOptions;
@@ -347,32 +349,68 @@ ServiceOptions SoakServiceOptions(uint64_t seed, int workers, int queue,
   return options;
 }
 
-void CheckLedgerInvariants(const Marketplace& market, int64_t expected_sales,
-                           const char* phase) {
-  const auto& entries = market.ledger().entries();
-  SOAK_CHECK(static_cast<int64_t>(entries.size()) == expected_sales,
-             "%s: ledger has %zu sales, expected %lld", phase, entries.size(),
-             static_cast<long long>(expected_sales));
-  for (size_t i = 0; i < entries.size(); ++i) {
-    SOAK_CHECK(entries[i].sequence == static_cast<int64_t>(i),
-               "%s: sequence gap at row %zu (got %lld)", phase, i,
-               static_cast<long long>(entries[i].sequence));
-    SOAK_CHECK(entries[i].price > 0.0, "%s: non-positive price at row %zu",
-               phase, i);
-  }
+// What a ledger booked: row count, fingerprint over every row's journal
+// bytes, and revenue. Equal books mean byte-identical rows.
+struct Books {
+  int64_t sales = 0;
+  uint64_t fingerprint = 0;
+  double revenue = 0.0;
+  bool operator==(const Books&) const = default;
+};
+
+Books BooksOf(const Marketplace& market) {
+  return Books{market.ledger().size(), market.ledger().Fingerprint(),
+               market.ledger().TotalRevenue()};
 }
 
+// Walks the market's journal chain from sequence 0: the history must
+// hold exactly `expected_sales` dense rows with positive prices, and
+// they must be the rows the ledger booked.
+void CheckLedgerInvariants(const Marketplace& market, int64_t expected_sales,
+                           const char* phase) {
+  const Journal* journal = market.ledger().journal();
+  SOAK_CHECK(journal != nullptr, "%s: ledger has no journal", phase);
+  if (journal == nullptr) {
+    return;
+  }
+  const StatusOr<std::vector<nimbus::market::LedgerEntry>> rows =
+      Journal::ReadChain(journal->path(), 0);
+  SOAK_CHECK(rows.ok(), "%s: ReadChain failed: %s", phase,
+             rows.status().ToString().c_str());
+  if (!rows.ok()) {
+    return;
+  }
+  SOAK_CHECK(static_cast<int64_t>(rows->size()) == expected_sales,
+             "%s: journal chain has %zu sales, expected %lld", phase,
+             rows->size(), static_cast<long long>(expected_sales));
+  for (size_t i = 0; i < rows->size(); ++i) {
+    SOAK_CHECK((*rows)[i].sequence == static_cast<int64_t>(i),
+               "%s: sequence gap at row %zu (got %lld)", phase, i,
+               static_cast<long long>((*rows)[i].sequence));
+    SOAK_CHECK((*rows)[i].price > 0.0, "%s: non-positive price at row %zu",
+               phase, i);
+  }
+  SOAK_CHECK(static_cast<int64_t>(rows->size()) == market.ledger().size() &&
+                 nimbus::market::FingerprintRows(*rows) ==
+                     market.ledger().Fingerprint(),
+             "%s: journal chain differs from the ledger's books", phase);
+}
+
+// Full replay of a journal-only run's chain into a fresh marketplace
+// must reproduce the live books.
 void CheckRestore(const std::string& path, const Marketplace& live,
                   uint64_t market_seed, const char* phase) {
   Marketplace restored = MakeMarket(market_seed);
-  const Status status = restored.RestoreFromJournal(path, Journal::Options{});
-  SOAK_CHECK(status.ok(), "%s: RestoreFromJournal failed: %s", phase,
+  Marketplace::RestoreReport report;
+  const Status status = restored.RestoreFromCheckpoint(
+      path, Marketplace::RestoreOptions{}, &report);
+  SOAK_CHECK(status.ok(), "%s: restore failed: %s", phase,
              status.ToString().c_str());
   if (status.ok()) {
-    SOAK_CHECK(restored.ledger().ToCsv() == live.ledger().ToCsv(),
+    SOAK_CHECK(report.source == Marketplace::RestoreReport::Source::kFullReplay,
+               "%s: expected a full replay", phase);
+    SOAK_CHECK(BooksOf(restored) == BooksOf(live),
                "%s: restored ledger differs from live ledger", phase);
-    SOAK_CHECK(restored.total_revenue() == live.total_revenue(),
-               "%s: restored revenue differs", phase);
   }
 }
 
@@ -424,7 +462,7 @@ void RunDeterminismPhase(int requests, uint64_t seed,
   for (int workers : worker_counts) {
     configs.push_back({workers, 16, "determinism"});
   }
-  std::vector<std::string> csvs;
+  std::vector<Books> books;
   for (const RunConfig& config : configs) {
     const int workers = config.workers;
     if (!fault_spec.empty()) {
@@ -508,7 +546,7 @@ void RunDeterminismPhase(int requests, uint64_t seed,
                workers, report.fast_burn_rate, report.slow_burn_rate);
     g_reports.push_back(report);
 
-    csvs.push_back(market.ledger().ToCsv());
+    books.push_back(BooksOf(market));
     std::printf(
         "   workers=%d batch=%d: ok=%lld retries=%lld revenue=%.6f "
         "(%.0f req/s, p99 %.0f us)\n",
@@ -516,8 +554,8 @@ void RunDeterminismPhase(int requests, uint64_t seed,
         static_cast<long long>(retries_seen), market.total_revenue(),
         report.requests_per_second, report.p99_us);
   }
-  for (size_t i = 1; i < csvs.size(); ++i) {
-    SOAK_CHECK(csvs[i] == csvs[0],
+  for (size_t i = 1; i < books.size(); ++i) {
+    SOAK_CHECK(books[i] == books[0],
                "det: ledger at workers=%d batch=%d differs from workers=%d "
                "batch=%d byte-wise",
                configs[i].workers, configs[i].max_quote_batch,
@@ -525,7 +563,7 @@ void RunDeterminismPhase(int requests, uint64_t seed,
   }
   std::printf(
       "   ledger byte-identical across %zu runs (workers x batching): %s\n",
-      csvs.size(), g_violations == 0 ? "yes" : "NO");
+      books.size(), g_violations == 0 ? "yes" : "NO");
 }
 
 // Phase 2: more offered load than the queue can hold, multi-threaded
@@ -661,11 +699,15 @@ void RunOverloadPhase(int requests, uint64_t seed, int queue_capacity,
 }
 
 // Removes every durability artifact a checkpointed run leaves behind:
-// the journal, the `.prev` rotation segment, the snapshot manifest, and
-// all snapshot generations (including torn `.tmp` leftovers).
+// the live and sealed journal segments, the snapshot manifest, and all
+// snapshot generations (including torn `.tmp` leftovers).
 void RemoveRecoveryFiles(const std::string& journal_path) {
   std::remove(journal_path.c_str());
-  std::remove((journal_path + ".prev").c_str());
+  std::remove((journal_path + ".tmp").c_str());
+  for (const Journal::SegmentFile& segment :
+       Journal::SealedSegments(journal_path)) {
+    std::remove(segment.path.c_str());
+  }
   const std::string manifest =
       nimbus::market::snapshot::ManifestPath(journal_path);
   std::remove(manifest.c_str());
@@ -767,8 +809,7 @@ void RunCrashRecoveryDrill(int requests, uint64_t seed,
     const auto stats = market.CheckpointStats();
     SOAK_CHECK(stats.ok() && stats->checkpoints >= 1,
                "crash(w=%d): no cadence checkpoint survived", workers);
-    const std::string live_csv = market.ledger().ToCsv();
-    const double live_revenue = market.total_revenue();
+    const Books live_books = BooksOf(market);
 
     // Recovery 1: newest surviving generation + O(delta) journal tail.
     Marketplace after_crash = MakeMarket(seed);
@@ -785,10 +826,8 @@ void RunCrashRecoveryDrill(int requests, uint64_t seed,
                  static_cast<long long>(report.snapshot_records +
                                         report.tail_records),
                  static_cast<long long>(ok_count));
-      SOAK_CHECK(after_crash.ledger().ToCsv() == live_csv,
+      SOAK_CHECK(BooksOf(after_crash) == live_books,
                  "crash(w=%d): recovered ledger differs byte-wise", workers);
-      SOAK_CHECK(after_crash.total_revenue() == live_revenue,
-                 "crash(w=%d): recovered revenue differs", workers);
     }
 
     // Recovery 2: bit-rot the newest snapshot; the ladder must fall
@@ -810,7 +849,7 @@ void RunCrashRecoveryDrill(int requests, uint64_t seed,
           "crash(w=%d): corrupt newest snapshot was not rejected", workers);
       SOAK_CHECK(fb_report.snapshots_rejected >= 1,
                  "crash(w=%d): rejection not reported", workers);
-      SOAK_CHECK(fallback.ledger().ToCsv() == live_csv,
+      SOAK_CHECK(BooksOf(fallback) == live_books,
                  "crash(w=%d): fallback ledger differs byte-wise", workers);
     }
     std::printf(
@@ -884,7 +923,7 @@ void RunRecoverySweep(bool fast, uint64_t seed,
                "sweep: EnableCheckpoints failed");
     feed(ckpt_market, history + tail);
     SOAK_CHECK(ckpt_market.FlushJournal().ok(), "sweep: flush failed");
-    const std::string ckpt_csv = ckpt_market.ledger().ToCsv();
+    const Books ckpt_books = BooksOf(ckpt_market);
 
     // Journal-only lineage: the linear-replay control.
     const std::string full_path =
@@ -896,18 +935,16 @@ void RunRecoverySweep(bool fast, uint64_t seed,
     }
     feed(full_market, history + tail);
     SOAK_CHECK(full_market.FlushJournal().ok(), "sweep: flush failed");
-    const std::string full_csv = full_market.ledger().ToCsv();
+    const Books full_books = BooksOf(full_market);
 
     double best_ckpt = 0.0;
     double best_full = 0.0;
     for (int rep = 0; rep < reps; ++rep) {
       Marketplace restored = MakeMarket(seed);
-      Marketplace::RestoreOptions options;
-      options.hydrate = false;  // O(delta): defer the entry-log load.
       Marketplace::RestoreReport report;
       const auto t0 = std::chrono::steady_clock::now();
-      const Status status =
-          restored.RestoreFromCheckpoint(ckpt_path, options, &report);
+      const Status status = restored.RestoreFromCheckpoint(
+          ckpt_path, Marketplace::RestoreOptions{}, &report);
       const double ms =
           std::chrono::duration<double, std::milli>(
               std::chrono::steady_clock::now() - t0)
@@ -920,19 +957,15 @@ void RunRecoverySweep(bool fast, uint64_t seed,
                  static_cast<long long>(tail));
       best_ckpt = rep == 0 ? ms : std::min(best_ckpt, ms);
       if (rep == 0) {
-        // Aggregates restore without the row log; hydration brings the
-        // rows back bit-identically.
-        SOAK_CHECK(restored.total_revenue() == ckpt_market.total_revenue(),
-                   "sweep: deferred-hydration revenue differs");
-        SOAK_CHECK(restored.HydrateLedger().ok(), "sweep: hydrate failed");
-        SOAK_CHECK(restored.ledger().ToCsv() == ckpt_csv,
+        SOAK_CHECK(BooksOf(restored) == ckpt_books,
                    "sweep: checkpoint-restored ledger differs byte-wise");
       }
 
       Marketplace replayed = MakeMarket(seed);
+      Marketplace::RestoreReport replay_report;
       const auto t1 = std::chrono::steady_clock::now();
-      const Status replay_status =
-          replayed.RestoreFromJournal(full_path, Journal::Options{});
+      const Status replay_status = replayed.RestoreFromCheckpoint(
+          full_path, Marketplace::RestoreOptions{}, &replay_report);
       const double replay_ms =
           std::chrono::duration<double, std::milli>(
               std::chrono::steady_clock::now() - t1)
@@ -940,8 +973,11 @@ void RunRecoverySweep(bool fast, uint64_t seed,
       SOAK_CHECK(replay_status.ok(), "sweep: full replay failed: %s",
                  replay_status.ToString().c_str());
       best_full = rep == 0 ? replay_ms : std::min(best_full, replay_ms);
+      SOAK_CHECK(replay_report.source ==
+                     Marketplace::RestoreReport::Source::kFullReplay,
+                 "sweep: journal-only restore did not replay in full");
       if (rep == 0) {
-        SOAK_CHECK(replayed.ledger().ToCsv() == full_csv,
+        SOAK_CHECK(BooksOf(replayed) == full_books,
                    "sweep: replayed ledger differs byte-wise");
       }
     }
@@ -1057,8 +1093,8 @@ void RunShardedChaosPhase(uint64_t seed, bool fast,
   using nimbus::market::Shard;
   using nimbus::market::ShardState;
 
-  // csvs[run][product]: per-product ledger CSV after the run drained.
-  std::vector<std::vector<std::string>> csvs;
+  // books[run][product]: per-product ledger books after the run drained.
+  std::vector<std::vector<Books>> books;
   for (int workers : worker_counts) {
     nimbus::fault::Reset();
     nimbus::telemetry::Registry::Global().ResetForTest();
@@ -1250,27 +1286,26 @@ void RunShardedChaosPhase(uint64_t seed, bool fast,
 
     // Collect per-product ledgers; spot-check that shard directories
     // restore byte-identically (victim, the degraded shard, product 0).
-    std::vector<std::string> run_csvs;
+    std::vector<Books> run_books;
     for (int p = 0; p < num_products; ++p) {
       Shard* shard = catalog.Find(product_name(p));
       const std::shared_ptr<Marketplace> market = shard->market();
       const int expected =
           product_name(p) == victim ? w1 + w3 : w1 + w2 + w3;
       CheckLedgerInvariants(*market, expected, "shards");
-      run_csvs.push_back(market->ledger().ToCsv());
+      run_books.push_back(BooksOf(*market));
       if (p == 0 || product_name(p) == victim || product_name(p) == degraded) {
         Marketplace probe = MakeMarket(product_seed(p));
         const Status restored = probe.RestoreFromCheckpoint(
             shard->journal_path(), Marketplace::RestoreOptions{}, nullptr);
         SOAK_CHECK(restored.ok(), "shards(w=%d): product %d restore: %s",
                    workers, p, restored.ToString().c_str());
-        SOAK_CHECK(restored.ok() &&
-                       probe.ledger().ToCsv() == run_csvs.back(),
+        SOAK_CHECK(restored.ok() && BooksOf(probe) == run_books.back(),
                    "shards(w=%d): product %d restores differently", workers,
                    p);
       }
     }
-    csvs.push_back(std::move(run_csvs));
+    books.push_back(std::move(run_books));
 
     RunReport report;
     report.phase = "sharded_chaos";
@@ -1301,10 +1336,10 @@ void RunShardedChaosPhase(uint64_t seed, bool fast,
   // The bulkhead seam may change speed, never what is sold: every
   // product's ledger must be byte-identical across worker counts.
   int mismatches = 0;
-  for (size_t run = 1; run < csvs.size(); ++run) {
+  for (size_t run = 1; run < books.size(); ++run) {
     for (int p = 0; p < num_products; ++p) {
-      mismatches += csvs[run][p] == csvs[0][p] ? 0 : 1;
-      SOAK_CHECK(csvs[run][p] == csvs[0][p],
+      mismatches += books[run][p] == books[0][p] ? 0 : 1;
+      SOAK_CHECK(books[run][p] == books[0][p],
                  "shards: product %d ledger differs between workers=%d and "
                  "workers=%d",
                  p, worker_counts[run], worker_counts[0]);
@@ -1312,7 +1347,7 @@ void RunShardedChaosPhase(uint64_t seed, bool fast,
   }
   std::printf(
       "   per-product ledgers byte-identical across %zu worker counts: %s\n",
-      csvs.size(), mismatches == 0 ? "yes" : "NO");
+      books.size(), mismatches == 0 ? "yes" : "NO");
 }
 
 int64_t RegistryCounterValue(const char* name) {
@@ -1354,7 +1389,7 @@ void RunAuditPhase(int requests, uint64_t seed,
     double p50_us = 0.0;
   };
   std::vector<AuditRun> audit_runs;
-  std::vector<std::string> csvs;
+  std::vector<Books> books;
   int64_t audited_commits = 0;
 
   // --- (a) fault-free: auditor off vs on, per worker count. ---
@@ -1416,7 +1451,7 @@ void RunAuditPhase(int requests, uint64_t seed,
       audit_runs.push_back(run);
       // The headline non-perturbation claim: ledger bytes do not depend
       // on whether the auditor watched.
-      csvs.push_back(catalog.market().ledger().ToCsv());
+      books.push_back(BooksOf(catalog.market()));
       std::printf("   workers=%d auditor=%s: ok=%lld (%.0f req/s, p50 %.0f us)\n",
                   workers, audited ? "on" : "off",
                   static_cast<long long>(ok_count), run.requests_per_second,
@@ -1424,9 +1459,9 @@ void RunAuditPhase(int requests, uint64_t seed,
     }
   }
   int ledger_mismatches = 0;
-  for (size_t i = 1; i < csvs.size(); ++i) {
-    ledger_mismatches += csvs[i] == csvs[0] ? 0 : 1;
-    SOAK_CHECK(csvs[i] == csvs[0],
+  for (size_t i = 1; i < books.size(); ++i) {
+    ledger_mismatches += books[i] == books[0] ? 0 : 1;
+    SOAK_CHECK(books[i] == books[0],
                "audit: ledger differs between run 0 and run %zu "
                "(auditor must be observation-only)",
                i);
@@ -1434,7 +1469,7 @@ void RunAuditPhase(int requests, uint64_t seed,
   std::printf(
       "   ledgers byte-identical across %zu runs (auditor on/off x workers): "
       "%s; %lld samples audited\n",
-      csvs.size(), ledger_mismatches == 0 ? "yes" : "NO",
+      books.size(), ledger_mismatches == 0 ? "yes" : "NO",
       static_cast<long long>(audited_commits));
 
   // --- (b) detection drill. ---

@@ -71,7 +71,8 @@ int main() {
   broker->SetPricingFunction(std::make_shared<pricing::LinearPricing>(
       0.1, std::numeric_limits<double>::infinity(), "bootstrap"));
 
-  market::Ledger ledger;
+  // The seller's observed sales (the rows a ledger would book).
+  std::vector<market::LedgerEntry> observed;
   const std::vector<double> grid = Linspace(1.0, 100.0, 20);
   for (int round = 0; round < 6; ++round) {
     Rng round_rng(1000 + static_cast<uint64_t>(round));
@@ -92,7 +93,7 @@ int main() {
     // a lower bound on willingness to pay, so a learner that never
     // offers above its current price can never raise its estimate.
     // Randomly marking some offers up (rejected offers are simply not
-    // recorded) lets the ledger discover the real value curve.
+    // recorded) lets the observed sales discover the real value curve.
     market::PopulationSpec probe = population;
     probe.num_buyers = 120;
     Rng probe_rng(5000 + static_cast<uint64_t>(round));
@@ -110,14 +111,19 @@ int main() {
       const double offered =
           list_price * probe_rng.Uniform(1.0, 3.0) + probe_rng.Uniform(0, 2);
       if (offered <= value) {
-        (void)ledger.Record("probe", ml::ModelKind::kLinearRegression, x,
-                            offered, 0.0);
+        market::LedgerEntry sale;
+        sale.sequence = static_cast<int64_t>(observed.size());
+        sale.buyer_id = "probe";
+        sale.model = ml::ModelKind::kLinearRegression;
+        sale.inverse_ncp = x;
+        sale.price = offered;
+        observed.push_back(std::move(sale));
       }
     }
 
     // Re-estimate research and reprice with a 10% robustness margin.
     auto estimated = market::EstimateResearchFromLedger(
-        ledger, ml::ModelKind::kLinearRegression, grid);
+        observed, ml::ModelKind::kLinearRegression, grid);
     if (!estimated.ok()) {
       std::printf("  (no transactions yet; keeping bootstrap prices)\n");
       continue;

@@ -10,7 +10,7 @@
 //   menu <model>                     price-error curve of one offering
 //   buy <buyer> <model> <1/NCP>      purchase a version
 //   budget <buyer> <model> <price>   best version within a price budget
-//   ledger                           transaction log + top buyers
+//   ledger                           booked totals + top buyers
 //   audit <model>                    arbitrage audit of the menu
 //   quit
 
@@ -180,8 +180,16 @@ int main() {
           "%s got the best version under %.2f: 1/NCP=%.2f for %.2f\n",
           buyer.c_str(), budget, purchase->inverse_ncp, purchase->price);
     } else if (command == "ledger") {
-      std::printf("%s", marketplace.ledger().ToCsv().c_str());
-      std::printf("total revenue: %.2f\n", marketplace.total_revenue());
+      const market::Ledger& ledger = marketplace.ledger();
+      std::printf("sales: %lld  total revenue: %.2f  fingerprint: %016llx\n",
+                  static_cast<long long>(ledger.size()),
+                  ledger.TotalRevenue(),
+                  static_cast<unsigned long long>(ledger.Fingerprint()));
+      for (const ml::ModelKind kind : marketplace.Offerings()) {
+        std::printf("  %-20s revenue %.2f\n",
+                    std::string(ml::ModelKindToString(kind)).c_str(),
+                    ledger.RevenueForModel(kind));
+      }
       for (const auto& [buyer, spend] : marketplace.ledger().TopBuyers(3)) {
         std::printf("  top buyer %-12s %.2f\n", buyer.c_str(), spend);
       }

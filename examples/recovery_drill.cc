@@ -14,14 +14,17 @@
 //     count) into a pristine marketplace reproduces what the killed
 //     process had committed, byte for byte. Any divergence — lost
 //     acknowledged sale, duplicated tail record, aggregate drift —
-//     fails the byte comparison and exits non-zero.
+//     fails the comparison (row count, fingerprint over every row's
+//     bytes, revenue) and exits non-zero. The journal chain is then
+//     read back from sequence 0 and must hold exactly the oracle's rows:
+//     the history itself, not just the restored aggregates, survived.
 //
 // Sharded variants of the same halves (`--root=DIR --shards=N`
 // replacing `--journal=PATH`) drive a bulkheaded Catalog instead: each
 // product shard owns its journal + snapshot chain under
 // `DIR/shards/product-NNN/`, sales round-robin across products, and
 // the recover half restores every shard and byte-compares each against
-// its own deterministic oracle. `--corrupt-newest-snapshot=PRODUCT`
+// its own deterministic oracle, ledger and journal chain alike. `--corrupt-newest-snapshot=PRODUCT`
 // flips a byte in that shard's newest snapshot before the restart, so
 // CI can assert the damaged shard falls down the recovery ladder
 // (previous snapshot / full replay) while the untouched shards restore
@@ -35,6 +38,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "common/statusor.h"
@@ -57,6 +61,7 @@ using nimbus::market::Catalog;
 using nimbus::market::CatalogOptions;
 using nimbus::market::CheckpointPolicy;
 using nimbus::market::Journal;
+using nimbus::market::Ledger;
 using nimbus::market::Marketplace;
 using nimbus::market::Shard;
 using nimbus::market::ShardState;
@@ -118,6 +123,37 @@ Marketplace MakeMarket(uint64_t seed) {
     std::exit(2);
   }
   return market;
+}
+
+// Whether two ledgers booked the same rows: equal count, fingerprint
+// (FNV-1a over every row's journal bytes) and revenue.
+bool SameBooks(const Ledger& a, const Ledger& b) {
+  return a.size() == b.size() && a.Fingerprint() == b.Fingerprint() &&
+         a.TotalRevenue() == b.TotalRevenue();
+}
+
+// Reads the journal chain at `path` from sequence 0 and checks that it
+// holds exactly the oracle's rows. Prints the violation and returns
+// false otherwise.
+bool ChainMatchesOracle(const std::string& path, const Ledger& oracle) {
+  const StatusOr<std::vector<nimbus::market::LedgerEntry>> rows =
+      Journal::ReadChain(path, 0);
+  if (!rows.ok()) {
+    std::fprintf(stderr,
+                 "VIOLATION: cannot read the journal chain at %s: %s\n",
+                 path.c_str(), rows.status().ToString().c_str());
+    return false;
+  }
+  if (static_cast<int64_t>(rows->size()) != oracle.size() ||
+      nimbus::market::FingerprintRows(*rows) != oracle.Fingerprint()) {
+    std::fprintf(stderr,
+                 "VIOLATION: journal chain at %s holds %zu rows that differ "
+                 "from the %lld-sale oracle\n",
+                 path.c_str(), rows->size(),
+                 static_cast<long long>(oracle.size()));
+    return false;
+  }
+  return true;
 }
 
 // Sale i of the deterministic stream: a pure function of i, so the
@@ -204,19 +240,19 @@ int Recover(const std::string& path, int requests, uint64_t seed) {
       return 2;
     }
   }
-  if (recovered.ledger().ToCsv() != oracle.ledger().ToCsv()) {
+  if (!SameBooks(recovered.ledger(), oracle.ledger())) {
     std::fprintf(stderr,
                  "VIOLATION: recovered ledger differs from the oracle "
                  "re-feed of %lld sales\n",
                  static_cast<long long>(count));
     return 1;
   }
-  if (recovered.total_revenue() != oracle.total_revenue()) {
-    std::fprintf(stderr, "VIOLATION: recovered revenue differs\n");
-    return 1;
-  }
   std::printf("recovered ledger byte-identical to the %lld-sale oracle\n",
               static_cast<long long>(count));
+  if (!ChainMatchesOracle(path, oracle.ledger())) {
+    return 1;
+  }
+  std::printf("history chain matches oracle: yes\n");
   return 0;
 }
 
@@ -420,12 +456,14 @@ int RecoverSharded(const std::string& root, int num_shards, int requests,
         return 2;
       }
     }
-    if (market->ledger().ToCsv() != oracle.ledger().ToCsv() ||
-        market->total_revenue() != oracle.total_revenue()) {
+    if (!SameBooks(market->ledger(), oracle.ledger())) {
       std::fprintf(stderr,
                    "VIOLATION: shard %s ledger differs from its %lld-sale "
                    "oracle re-feed\n",
                    shard->product_id().c_str(), static_cast<long long>(count));
+      return 1;
+    }
+    if (!ChainMatchesOracle(shard->journal_path(), oracle.ledger())) {
       return 1;
     }
   }
@@ -433,6 +471,7 @@ int RecoverSharded(const std::string& root, int num_shards, int requests,
       "all %d shards serving; %lld recovered sales byte-identical to their "
       "per-shard oracles\n",
       num_shards, static_cast<long long>(total));
+  std::printf("history chain matches oracle: yes\n");
   return 0;
 }
 

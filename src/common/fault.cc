@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 
+#include "common/hash.h"
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/statusor.h"
@@ -74,18 +75,6 @@ std::map<std::string, Rule>& Rules() {
   return *rules;
 }
 
-// Stable 64-bit string hash (FNV-1a) mixing the point name into the
-// probabilistic seed so distinct points armed with the same seed draw
-// independent streams.
-uint64_t HashName(const std::string& name) {
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : name) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 StatusOr<Rule> ParseClauseBody(const std::string& point,
                                std::vector<std::string> tokens) {
   Rule rule;
@@ -118,7 +107,7 @@ StatusOr<Rule> ParseClauseBody(const std::string& point,
         return InvalidArgumentError("bad seed in fault clause '" + point + "'");
       }
     }
-    rule.rng = std::make_unique<Rng>(seed ^ HashName(point));
+    rule.rng = std::make_unique<Rng>(seed ^ Fnv1a64(point, kSeedMixBasis));
     return rule;
   }
   char* end = nullptr;

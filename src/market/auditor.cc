@@ -9,6 +9,7 @@
 
 #include "common/fault.h"
 #include "common/flight_recorder.h"
+#include "common/hash.h"
 #include "common/logging.h"
 #include "common/telemetry.h"
 #include "common/timeseries.h"
@@ -16,15 +17,6 @@
 
 namespace nimbus::market {
 namespace {
-
-uint64_t Fnv64(const std::string& key) {
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : key) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 telemetry::Counter& PassesCounter() {
   static telemetry::Counter& counter =
@@ -150,7 +142,8 @@ AuditTap* Auditor::RegisterLane(const std::string& product_id, Shard* shard) {
   entry->product = product_id;
   entry->shard = shard;
   entry->tap.index = static_cast<int32_t>(taps_.size());
-  entry->tap.sample_rng = Rng(options_.seed ^ Fnv64(product_id));
+  entry->tap.sample_rng =
+      Rng(options_.seed ^ Fnv1a64(product_id, kSeedMixBasis));
   taps_.push_back(std::move(entry));
   LanesGauge().Set(static_cast<double>(taps_.size()));
   return &taps_.back()->tap;

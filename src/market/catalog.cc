@@ -2,21 +2,12 @@
 
 #include <algorithm>
 
+#include "common/hash.h"
 #include "common/logging.h"
 #include "common/telemetry.h"
 
 namespace nimbus::market {
 namespace {
-
-// FNV-1a, the same stable hash the fault registry uses for seeds.
-uint64_t Fnv64(const std::string& key) {
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : key) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 telemetry::Gauge& CatalogShardsGauge() {
   static telemetry::Gauge& gauge =
@@ -59,7 +50,7 @@ Status Catalog::AddProduct(const std::string& product_id,
   const int replicas = std::max(1, options_.ring_replicas);
   for (int r = 0; r < replicas; ++r) {
     ring_.push_back(RingPoint{
-        Fnv64(product_id + "#" + std::to_string(r)), index});
+        Fnv1a64(product_id + "#" + std::to_string(r), kSeedMixBasis), index});
   }
   std::sort(ring_.begin(), ring_.end(),
             [](const RingPoint& a, const RingPoint& b) {
@@ -83,7 +74,7 @@ Shard* Catalog::Route(const std::string& key) {
     return nullptr;
   }
   // Successor on the ring (wrap past the last point).
-  const uint64_t h = Fnv64(key);
+  const uint64_t h = Fnv1a64(key, kSeedMixBasis);
   auto it = std::lower_bound(
       ring_.begin(), ring_.end(), h,
       [](const RingPoint& p, uint64_t value) { return p.hash < value; });

@@ -114,6 +114,17 @@ StatusOr<int64_t> Checkpointer::Commit(snapshot::State state,
         " already covers " + std::to_string(stats_.last_sequence));
   }
   telemetry::ScopedTimer timer(CheckpointLatency());
+  // A snapshot must never cover records the journal file lacks: land
+  // the buffered appends first, or a crash between the snapshot write
+  // and the seal below would leave a snapshot ahead of its history.
+  if (journal != nullptr) {
+    const Status flushed = journal->Flush();
+    if (!flushed.ok()) {
+      ++stats_.failures;
+      CheckpointFailuresCounter().Increment();
+      return flushed;
+    }
+  }
   const int64_t generation = stats_.last_generation + 1;
   state.generation = generation;
   const std::string file = snapshot::SnapshotPath(journal_path_, generation);
@@ -138,15 +149,14 @@ StatusOr<int64_t> Checkpointer::Commit(snapshot::State state,
                          << manifest_status.message()
                          << "); recovery will rely on the directory scan";
   }
-  // Rotate down to the PREVIOUS generation's sequence so the live
-  // segment still serves the fallback rung (class comment). At G=1
-  // that base is 0 — Rotate is then a no-op on an unrotated J1 file.
-  const int64_t rotate_base = stats_.last_sequence;
+  // Seal the live segment at this checkpoint's sequence: the next
+  // restore from this generation reads only the fresh live segment.
   const int64_t prev_sequence = stats_.last_sequence;
   if (journal != nullptr) {
-    const Status rotated = journal->Rotate(rotate_base);
+    const int64_t sealed_base = journal->base_sequence();
+    const Status rotated = journal->Rotate(state.sequence);
     if (rotated.ok()) {
-      if (rotate_base > 0) {
+      if (journal->base_sequence() != sealed_base) {
         RotationsCounter().Increment();
       }
     } else {
@@ -155,7 +165,7 @@ StatusOr<int64_t> Checkpointer::Commit(snapshot::State state,
       NIMBUS_LOG(kWarning) << "checkpoint generation " << generation
                            << ": journal rotation failed ("
                            << rotated.message()
-                           << "); replay stays longer but correct";
+                           << "); the restore tail stays longer but correct";
     }
     JournalLiveBytesGauge().Set(static_cast<double>(journal->live_bytes()));
   }

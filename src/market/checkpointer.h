@@ -24,19 +24,20 @@ struct CheckpointPolicy {
   int retain_snapshots = 2;
 };
 
-// Drives the snapshot + journal-compaction cycle for one marketplace:
-// generation numbering, cadence checks, the commit sequence (snapshot ->
-// manifest -> journal rotation -> retention pruning), and the
-// `snapshot_*` telemetry. Pure policy object — it holds no marketplace
-// pointer (the marketplace is moved by value in benches), so the caller
-// passes the captured State and the journal in.
+// Drives the snapshot + segment-sealing cycle for one marketplace:
+// generation numbering, cadence checks, the commit sequence (journal
+// flush -> snapshot -> manifest -> seal the live journal segment ->
+// retention pruning), and the `snapshot_*` telemetry. Pure policy
+// object — it holds no marketplace pointer (the marketplace is moved by
+// value in benches), so the caller passes the captured State and the
+// journal in.
 //
-// The retention/rotation invariant: after committing generation G at
-// sequence S_G, the live journal is rotated to base S_{G-1} (the
-// PREVIOUS generation's sequence, not its own). One live segment thus
-// always covers the tails of both ladder rungs — [S_G, now) for G and
-// [S_{G-1}, now) for G-1 — and the `.prev` segment left by the rename
-// only matters for the crash window inside Rotate itself.
+// After committing generation G at sequence S_G, the live journal
+// segment is sealed and a new one starts at S_G, so the next restore
+// from G reads only the live segment. Sealed segments are kept forever:
+// the fallback rung's tail [S_{G-1}, S_G) and the full-replay rung read
+// them through Journal::ReadChain. Only snapshot generations beyond the
+// retention count are pruned.
 class Checkpointer {
  public:
   Checkpointer(std::string journal_path, CheckpointPolicy policy);
@@ -51,22 +52,23 @@ class Checkpointer {
   bool Due(int64_t ledger_records, int64_t journal_live_bytes) const;
 
   // Commits one checkpoint: stamps the next generation into `state`,
-  // writes the snapshot atomically, updates the manifest, rotates
-  // `journal` (when non-null) down to the previous generation's
-  // sequence, and prunes generations beyond the retention count. When
+  // flushes `journal` (when non-null) so the snapshot never runs ahead
+  // of the journal file, writes the snapshot atomically, updates the
+  // manifest, seals the live segment at `state.sequence`, and prunes
+  // generations beyond the retention count. When
   // `state.sequence` equals the last committed checkpoint's sequence the
   // call is a no-op returning the existing generation (a drain right
   // after a cadence checkpoint should not burn a generation). Returns
   // the committed generation. A failed snapshot write leaves the
   // previous generation authoritative; a failed rotation or manifest
-  // update degrades to a longer (but correct) replay and is reported in
+  // update degrades to a longer (but correct) tail and is reported in
   // stats and telemetry, not as a hard error.
   StatusOr<int64_t> Commit(snapshot::State state, Journal* journal);
 
   struct Stats {
     int64_t checkpoints = 0;        // Committed snapshots.
     int64_t failures = 0;           // Failed snapshot writes.
-    int64_t rotation_failures = 0;  // Snapshot ok, journal rotation not.
+    int64_t rotation_failures = 0;  // Snapshot ok, segment sealing not.
     int64_t last_generation = 0;
     int64_t last_sequence = 0;  // Sequence covered by last_generation.
     int64_t prev_sequence = 0;  // ... by the generation before it.

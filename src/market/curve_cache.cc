@@ -5,6 +5,7 @@
 #include <cstring>
 #include <utility>
 
+#include "common/hash.h"
 #include "common/telemetry.h"
 
 namespace nimbus::market {
@@ -66,12 +67,12 @@ telemetry::Histogram& BuildLatency() {
 }
 
 uint64_t FnvMix(uint64_t hash, uint64_t value) {
-  // 64-bit FNV-1a over the value's 8 bytes.
+  // 64-bit FNV-1a over the value's 8 bytes, least significant first.
+  char bytes[8];
   for (int i = 0; i < 8; ++i) {
-    hash ^= (value >> (8 * i)) & 0xffu;
-    hash *= 0x100000001b3ull;
+    bytes[i] = static_cast<char>(value >> (8 * i));
   }
-  return hash;
+  return Fnv1a64(std::string_view(bytes, sizeof(bytes)), hash);
 }
 
 uint64_t DoubleBits(double value) {
@@ -91,7 +92,7 @@ void AppendHex(std::string* out, uint64_t value) {
 }  // namespace
 
 uint64_t FingerprintDataset(const data::Dataset& dataset) {
-  uint64_t hash = 0xcbf29ce484222325ull;  // FNV offset basis.
+  uint64_t hash = kFnv64OffsetBasis;
   hash = FnvMix(hash, static_cast<uint64_t>(dataset.num_features()));
   hash = FnvMix(hash, static_cast<uint64_t>(dataset.num_examples()));
   hash = FnvMix(hash, static_cast<uint64_t>(dataset.task()));

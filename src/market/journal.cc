@@ -1,10 +1,14 @@
 #include "market/journal.h"
 
+#include <dirent.h>
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -15,8 +19,8 @@ namespace nimbus::market {
 namespace {
 
 constexpr char kMagic[8] = {'N', 'I', 'M', 'B', 'U', 'S', 'J', '1'};
-// Rotated-segment magic: followed by u64 base_sequence + u32 crc32 of
-// those 8 bytes (see the class comment).
+// Magic of a segment with a non-zero base: followed by u64
+// base_sequence + u32 crc32 of those 8 bytes (see the class comment).
 constexpr char kMagic2[8] = {'N', 'I', 'M', 'B', 'U', 'S', 'J', '2'};
 constexpr size_t kSegmentHeaderExtra = 12;  // u64 base + u32 crc.
 constexpr size_t kRecordHeaderBytes = 8;    // u32 length + u32 crc.
@@ -34,7 +38,7 @@ void AppendScalar(std::string& out, T value) {
 }
 
 template <typename T>
-bool ReadScalar(const std::string& in, size_t& offset, T* value) {
+bool ReadScalar(std::string_view in, size_t& offset, T* value) {
   if (in.size() - offset < sizeof(T)) {
     return false;
   }
@@ -58,14 +62,21 @@ std::string SegmentHeader(int64_t base_sequence) {
   return header;
 }
 
+std::string DirName(const std::string& path) {
+  const size_t slash = path.find_last_of('/');
+  if (slash == std::string::npos) {
+    return ".";
+  }
+  return slash == 0 ? "/" : path.substr(0, slash);
+}
+
+bool FileExists(const std::string& path) {
+  return ::access(path.c_str(), F_OK) == 0;
+}
+
 // Makes a rename in the journal's directory durable.
 Status SyncParentDir(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  const std::string dir =
-      slash == std::string::npos
-          ? "."
-          : (slash == 0 ? "/" : path.substr(0, slash));
-  const int fd = ::open(dir.c_str(), O_RDONLY);
+  const int fd = ::open(DirName(path).c_str(), O_RDONLY);
   if (fd < 0) {
     return InternalError("cannot open parent directory of '" + path +
                          "' for fsync");
@@ -80,7 +91,7 @@ Status SyncParentDir(const std::string& path) {
 
 }  // namespace
 
-StatusOr<LedgerEntry> Journal::DecodePayload(const std::string& payload) {
+StatusOr<LedgerEntry> Journal::DecodePayload(std::string_view payload) {
   LedgerEntry entry;
   size_t offset = 0;
   uint8_t kind = 0;
@@ -107,7 +118,7 @@ StatusOr<LedgerEntry> Journal::DecodePayload(const std::string& payload) {
   if (payload.size() - offset != buyer_len) {
     return InvalidArgumentError("journal payload buyer-id length mismatch");
   }
-  entry.buyer_id = payload.substr(offset, buyer_len);
+  entry.buyer_id.assign(payload.substr(offset, buyer_len));
   return entry;
 }
 
@@ -132,8 +143,9 @@ uint32_t Journal::Crc32(const void* data, size_t size) {
   return crc ^ 0xFFFFFFFFu;
 }
 
-std::string Journal::EncodePayload(const LedgerEntry& entry) {
-  std::string payload;
+void Journal::EncodePayload(const LedgerEntry& entry, std::string* out) {
+  std::string& payload = *out;
+  payload.clear();
   payload.reserve(37 + entry.buyer_id.size());
   AppendScalar(payload, entry.sequence);
   AppendScalar(payload, static_cast<uint8_t>(entry.model));
@@ -142,6 +154,11 @@ std::string Journal::EncodePayload(const LedgerEntry& entry) {
   AppendScalar(payload, entry.expected_error);
   AppendScalar(payload, static_cast<uint32_t>(entry.buyer_id.size()));
   AppendRaw(payload, entry.buyer_id.data(), entry.buyer_id.size());
+}
+
+std::string Journal::EncodePayload(const LedgerEntry& entry) {
+  std::string payload;
+  EncodePayload(entry, &payload);
   return payload;
 }
 
@@ -151,6 +168,7 @@ StatusOr<Journal> Journal::Open(const std::string& path, Options options) {
   }
   bool needs_header = true;
   int64_t base_sequence = options.create_base_sequence;
+  int64_t next_sequence = base_sequence;
   int64_t existing_bytes = 0;
   {
     std::ifstream probe(path, std::ios::binary);
@@ -174,11 +192,12 @@ StatusOr<Journal> Journal::Open(const std::string& path, Options options) {
           "; " + std::to_string(report.dropped_bytes) +
           " bytes past the valid prefix): recover it first — "
           "Journal::Replay truncates a torn tail, and "
-          "Marketplace::RestoreFromJournal/RestoreFromCheckpoint run that "
-          "recovery before re-opening");
+          "Marketplace::RestoreFromCheckpoint runs that recovery before "
+          "re-opening");
     }
     needs_header = false;
     base_sequence = report.base_sequence;
+    next_sequence = base_sequence + report.recovered_records;
   }
   std::FILE* file = std::fopen(path.c_str(), "ab");
   if (file == nullptr) {
@@ -187,6 +206,7 @@ StatusOr<Journal> Journal::Open(const std::string& path, Options options) {
   }
   Journal journal(path, options, file);
   journal.base_sequence_ = base_sequence;
+  journal.next_sequence_ = next_sequence;
   journal.live_bytes_.store(existing_bytes, std::memory_order_relaxed);
   if (needs_header) {
     const std::string header = SegmentHeader(base_sequence);
@@ -209,6 +229,7 @@ Journal::Journal(Journal&& other) noexcept
       options_(other.options_),
       file_(other.file_),
       base_sequence_(other.base_sequence_),
+      next_sequence_(other.next_sequence_),
       live_bytes_(other.live_bytes_.load(std::memory_order_relaxed)),
       buffered_sequence_(other.buffered_sequence_),
       buffered_payload_size_(other.buffered_payload_size_),
@@ -227,6 +248,7 @@ Journal& Journal::operator=(Journal&& other) noexcept {
     options_ = other.options_;
     file_ = other.file_;
     base_sequence_ = other.base_sequence_;
+    next_sequence_ = other.next_sequence_;
     live_bytes_.store(other.live_bytes_.load(std::memory_order_relaxed),
                       std::memory_order_relaxed);
     buffered_sequence_ = other.buffered_sequence_;
@@ -245,8 +267,8 @@ Journal::~Journal() {
   }
 }
 
-Status Journal::Append(const LedgerEntry& entry,
-                       const telemetry::TraceContext* trace) {
+Status Journal::AppendPayload(int64_t sequence, const std::string& payload,
+                              const telemetry::TraceContext* trace) {
   telemetry::TraceSpan span("journal.append", trace);
   const fault::Injection inject = fault::Check("journal.append");
   if (inject.fire && inject.mode == fault::Mode::kStatus) {
@@ -265,9 +287,8 @@ Status Journal::Append(const LedgerEntry& entry,
         "journal '" + path_ +
         "' poisoned by an earlier short write; recover before appending");
   }
-  const std::string payload = EncodePayload(entry);
   const uint32_t payload_crc = Crc32(payload.data(), payload.size());
-  if (buffered_sequence_ == entry.sequence) {
+  if (buffered_sequence_ == sequence) {
     span.Annotate("retry-reflush");
     // Idempotent retry: the previous attempt for this very record
     // already buffered its bytes and failed only at the flush/fsync
@@ -284,7 +305,7 @@ Status Journal::Append(const LedgerEntry& entry,
       span.Annotate("poisoned");
       return FailedPreconditionError(
           "journal '" + path_ + "' holds an abandoned record for sequence " +
-          std::to_string(entry.sequence) +
+          std::to_string(sequence) +
           " with a different payload (journal poisoned; recovery required)");
     }
     if (inject.fire) {
@@ -318,7 +339,8 @@ Status Journal::Append(const LedgerEntry& entry,
                            "'" + detail +
                            " (journal poisoned; recovery required)");
     }
-    buffered_sequence_ = entry.sequence;
+    buffered_sequence_ = sequence;
+    next_sequence_ = sequence + 1;
     buffered_payload_size_ = static_cast<uint32_t>(payload.size());
     buffered_payload_crc_ = payload_crc;
     // Counted at buffering: even when the flush below fails, the bytes
@@ -413,86 +435,66 @@ Status Journal::Rotate(int64_t new_base_sequence) {
         std::to_string(base_sequence_) + " -> " +
         std::to_string(new_base_sequence) + ")");
   }
+  if (new_base_sequence != next_sequence_) {
+    return FailedPreconditionError(
+        "cannot rotate journal '" + path_ + "' at sequence " +
+        std::to_string(new_base_sequence) + ": the live segment ends at " +
+        std::to_string(next_sequence_));
+  }
   NIMBUS_RETURN_IF_ERROR(FlushLocked());
   const fault::Injection inject = fault::Check("journal.rotate");
   if (inject.fire && inject.mode == fault::Mode::kStatus) {
     return InternalError("fault injected at 'journal.rotate'");
   }
   if (new_base_sequence == base_sequence_) {
-    return OkStatus();  // Nothing to truncate.
+    return OkStatus();  // Empty live segment: nothing to seal.
   }
-  // Re-read the (flushed) live segment and keep only the tail. Strict
-  // replay: Open validated the file and every append since was CRC'd,
-  // so any damage found here is fresh bit rot — refuse to rotate it
-  // away. Re-encoding reproduces the original record bytes exactly
-  // (fixed-width raw fields), so surviving records keep their CRCs.
-  RecoveryReport report;
-  ReplayOptions scan;
-  scan.strict = true;
-  scan.truncate_torn_tail = false;
-  NIMBUS_ASSIGN_OR_RETURN(const std::vector<LedgerEntry> entries,
-                          Replay(path_, &report, scan));
-  if (report.tail != TailState::kClean) {
-    return InternalError("journal '" + path_ +
-                         "' has an invalid tail mid-rotation: " +
-                         report.detail);
+  const std::string sealed = SealedSegmentPath(path_, base_sequence_);
+  if (FileExists(sealed)) {
+    return FailedPreconditionError("cannot seal journal '" + path_ +
+                                   "': '" + sealed + "' already exists");
   }
-  std::string image = SegmentHeader(new_base_sequence);
-  for (const LedgerEntry& entry : entries) {
-    if (entry.sequence < new_base_sequence) {
-      continue;
-    }
-    const std::string payload = EncodePayload(entry);
-    AppendScalar(image, static_cast<uint32_t>(payload.size()));
-    AppendScalar(image, Crc32(payload.data(), payload.size()));
-    AppendRaw(image, payload.data(), payload.size());
-  }
-  const std::string tmp = path_ + ".rotate.tmp";
+  // The next live segment's header goes through a temp file first, so a
+  // failure here leaves the live segment untouched.
+  const std::string header = SegmentHeader(new_base_sequence);
+  const std::string tmp = path_ + ".tmp";
   {
     std::FILE* out = std::fopen(tmp.c_str(), "wb");
     if (out == nullptr) {
       return InternalError("cannot open '" + tmp + "' for rotation");
     }
-    size_t to_write = image.size();
-    if (inject.fire) {
-      // Injected ENOSPC (kEnospc mode): the rotated segment runs out of
-      // disk halfway, leaving a partial .rotate.tmp behind. The live
-      // segment is untouched and stays appendable — rotation failure is
-      // absorbed upstream as a retryable rotation_failure.
-      to_write = image.size() / 2;
-    }
-    if (std::fwrite(image.data(), 1, to_write, out) != to_write ||
-        std::fflush(out) != 0 || ::fsync(fileno(out)) != 0 || inject.fire) {
-      std::fclose(out);
+    // Injected ENOSPC (kEnospc mode): the header runs out of disk
+    // halfway. Absorbed upstream as a retryable rotation_failure.
+    const size_t to_write = inject.fire ? header.size() / 2 : header.size();
+    const bool written =
+        std::fwrite(header.data(), 1, to_write, out) == to_write &&
+        std::fflush(out) == 0 && ::fsync(fileno(out)) == 0 && !inject.fire;
+    if (std::fclose(out) != 0 || !written) {
+      std::remove(tmp.c_str());
       const std::string detail =
           inject.fire ? ": No space left on device (injected)" : "";
-      return InternalError("cannot write rotated segment '" + tmp + "'" +
+      return InternalError("cannot write segment header '" + tmp + "'" +
                            detail);
     }
-    if (std::fclose(out) != 0) {
-      return InternalError("fclose failed on '" + tmp + "'");
-    }
   }
-  // Swap the filtered segment in. The retained predecessor (.prev) is
-  // the fallback recovery rung's tail; a crash between the two renames
-  // leaves only .prev, which restore treats as the live segment.
-  const std::string prev = path_ + ".prev";
-  if (std::rename(path_.c_str(), prev.c_str()) != 0) {
-    return InternalError("cannot retire '" + path_ + "' to '" + prev + "'");
+  if (std::rename(path_.c_str(), sealed.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return InternalError("cannot seal '" + path_ + "' as '" + sealed + "'");
   }
+  // A crash here leaves no live segment; restore recreates it.
   if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
     // Best-effort rollback so the live path does not stay missing.
-    if (std::rename(prev.c_str(), path_.c_str()) != 0) {
+    if (std::rename(sealed.c_str(), path_.c_str()) != 0) {
       poisoned_ = true;
       return InternalError("rotation of '" + path_ +
-                           "' failed mid-swap and could not roll back; "
-                           "recover from '" + prev + "'");
+                           "' failed after sealing it as '" + sealed +
+                           "' and could not roll back");
     }
-    return InternalError("cannot install rotated segment over '" + path_ +
+    return InternalError("cannot install a new live segment at '" + path_ +
                          "'");
   }
   NIMBUS_RETURN_IF_ERROR(SyncParentDir(path_));
-  // The old handle still points at the retired inode; reopen the live
+  // The old handle still points at the sealed inode; open the new live
   // segment for appending.
   std::fclose(file_);
   file_ = std::fopen(path_.c_str(), "ab");
@@ -501,10 +503,167 @@ Status Journal::Rotate(int64_t new_base_sequence) {
     return InternalError("cannot re-open rotated journal '" + path_ + "'");
   }
   base_sequence_ = new_base_sequence;
-  live_bytes_.store(static_cast<int64_t>(image.size()),
+  live_bytes_.store(static_cast<int64_t>(header.size()),
                     std::memory_order_relaxed);
   buffered_sequence_ = -1;
   return OkStatus();
+}
+
+std::string Journal::SealedSegmentPath(const std::string& path,
+                                       int64_t base) {
+  char suffix[32];
+  std::snprintf(suffix, sizeof(suffix), ".seg.%012lld",
+                static_cast<long long>(base));
+  return path + suffix;
+}
+
+std::vector<Journal::SegmentFile> Journal::SealedSegments(
+    const std::string& path) {
+  std::vector<SegmentFile> segments;
+  const size_t slash = path.find_last_of('/');
+  const std::string prefix =
+      (slash == std::string::npos ? path : path.substr(slash + 1)) + ".seg.";
+  const std::string dir = DirName(path);
+  if (DIR* handle = ::opendir(dir.c_str())) {
+    while (const dirent* entry = ::readdir(handle)) {
+      const std::string name = entry->d_name;
+      if (name.rfind(prefix, 0) != 0 || name.size() <= prefix.size()) {
+        continue;
+      }
+      const std::string digits = name.substr(prefix.size());
+      if (digits.find_first_not_of("0123456789") != std::string::npos) {
+        continue;
+      }
+      segments.push_back(SegmentFile{
+          std::strtoll(digits.c_str(), nullptr, 10),
+          slash == std::string::npos ? name : dir + "/" + name});
+    }
+    ::closedir(handle);
+  }
+  std::sort(segments.begin(), segments.end(),
+            [](const SegmentFile& a, const SegmentFile& b) {
+              return a.base != b.base ? a.base < b.base : a.path < b.path;
+            });
+  return segments;
+}
+
+StatusOr<std::vector<LedgerEntry>> Journal::ReadChain(
+    const std::string& path, int64_t from_sequence) {
+  const std::vector<SegmentFile> sealed = SealedSegments(path);
+  const bool live_exists = FileExists(path);
+  if (sealed.empty() && !live_exists) {
+    return NotFoundError("no journal segment at '" + path + "'");
+  }
+  // The live segment is read first (it is always needed, and its base
+  // decides how many sealed segments can be skipped) and linked last.
+  std::vector<LedgerEntry> live;
+  RecoveryReport live_report;
+  if (live_exists) {
+    NIMBUS_ASSIGN_OR_RETURN(live, Replay(path, &live_report));
+  }
+  const bool live_has_header = live_exists && live_report.valid_bytes > 0;
+  // First sealed segment to read: the last one starting at or before
+  // `from_sequence` — unless the live segment already does.
+  size_t first = sealed.size();
+  if (!live_has_header || live_report.base_sequence > from_sequence) {
+    first = 0;
+    while (first + 1 < sealed.size() &&
+           sealed[first + 1].base <= from_sequence) {
+      ++first;
+    }
+  }
+
+  std::vector<LedgerEntry> out;
+  int64_t chain_start = -1;
+  int64_t next = -1;  // Sequence the chain continues with.
+  const auto link = [&](const std::string& file, int64_t base,
+                        std::vector<LedgerEntry> rows) -> Status {
+    if (next >= 0) {
+      if (base < next) {
+        return InternalError("journal segment '" + file + "' (base " +
+                             std::to_string(base) +
+                             ") overlaps the chain, which already reaches " +
+                             std::to_string(next));
+      }
+      if (base > next) {
+        return InternalError("journal chain has a gap: '" + file +
+                             "' starts at " + std::to_string(base) +
+                             " but the chain ends at " + std::to_string(next));
+      }
+    } else {
+      chain_start = base;
+    }
+    next = base;
+    for (const LedgerEntry& row : rows) {
+      if (row.sequence != next) {
+        return InternalError("journal segment '" + file +
+                             "' has a sequence gap: expected " +
+                             std::to_string(next) + ", found " +
+                             std::to_string(row.sequence));
+      }
+      ++next;
+    }
+    // Dense from `base`, so the rows to keep are a suffix.
+    const auto keep =
+        rows.begin() + std::clamp<int64_t>(from_sequence - base, 0,
+                                           static_cast<int64_t>(rows.size()));
+    if (out.empty() && keep == rows.begin()) {
+      out = std::move(rows);
+    } else {
+      out.insert(out.end(), std::make_move_iterator(keep),
+                 std::make_move_iterator(rows.end()));
+    }
+    return OkStatus();
+  };
+
+  int64_t last_base = -1;
+  for (size_t i = first; i < sealed.size(); ++i) {
+    const SegmentFile& segment = sealed[i];
+    if (segment.base == last_base) {
+      return InternalError("two journal segments share base " +
+                           std::to_string(segment.base) + " ('" +
+                           sealed[i - 1].path + "', '" + segment.path + "')");
+    }
+    last_base = segment.base;
+    // Only the newest file may end in a torn tail (a crash inside
+    // Rotate's rename window leaves the last sealed segment newest).
+    const bool newest = !live_exists && i + 1 == sealed.size();
+    ReplayOptions options;
+    options.truncate_torn_tail = newest;
+    RecoveryReport report;
+    NIMBUS_ASSIGN_OR_RETURN(std::vector<LedgerEntry> rows,
+                            Replay(segment.path, &report, options));
+    if (!newest && report.tail != TailState::kClean) {
+      return InternalError("sealed journal segment '" + segment.path +
+                           "' is damaged: " + report.detail);
+    }
+    if (report.base_sequence != segment.base) {
+      return InternalError("sealed journal segment '" + segment.path +
+                           "' has header base " +
+                           std::to_string(report.base_sequence) +
+                           ", not the base its name carries");
+    }
+    NIMBUS_RETURN_IF_ERROR(link(segment.path, segment.base, std::move(rows)));
+  }
+  if (live_has_header) {
+    if (live_report.base_sequence == last_base) {
+      return InternalError("the live journal segment '" + path +
+                           "' shares base " + std::to_string(last_base) +
+                           " with a sealed segment");
+    }
+    NIMBUS_RETURN_IF_ERROR(
+        link(path, live_report.base_sequence, std::move(live)));
+  }
+  if (next < 0) {
+    chain_start = next = 0;  // Only an empty live file: a fresh journal.
+  }
+  if (chain_start > from_sequence || next < from_sequence) {
+    return InternalError("journal chain at '" + path + "' holds [" +
+                         std::to_string(chain_start) + ", " +
+                         std::to_string(next) + "), which cannot serve " +
+                         "records from " + std::to_string(from_sequence));
+  }
+  return out;
 }
 
 StatusOr<std::vector<LedgerEntry>> Journal::Replay(const std::string& path,
@@ -547,7 +706,7 @@ StatusOr<std::vector<LedgerEntry>> Journal::Replay(const std::string& path,
     offset = sizeof(kMagic);
     scan_records = true;
   } else if (std::memcmp(bytes.data(), kMagic2, sizeof(kMagic2)) == 0) {
-    // Rotated segment: the base sequence rides in the header, CRC'd so
+    // J2 segment: the base sequence rides in the header, CRC'd so
     // a bit flip there cannot silently renumber the whole tail.
     if (bytes.size() < sizeof(kMagic2) + kSegmentHeaderExtra) {
       rep.tail = TailState::kTorn;
@@ -594,7 +753,8 @@ StatusOr<std::vector<LedgerEntry>> Journal::Replay(const std::string& path,
         rep.detail = "partial record payload at byte " + std::to_string(offset);
         break;
       }
-      const std::string payload = bytes.substr(cursor, length);
+      const std::string_view payload =
+          std::string_view(bytes).substr(cursor, length);
       const uint32_t actual = Crc32(payload.data(), payload.size());
       if (actual != crc) {
         rep.tail = TailState::kCorrupt;

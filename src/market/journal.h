@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/profiler.h"
@@ -15,9 +16,10 @@
 
 namespace nimbus::market {
 
-// Append-only binary write-ahead log for the ledger — the durable copy
-// of the seller's audit trail. A journal file is an 8-byte magic header
-// ("NIMBUSJ1") followed by length-prefixed records:
+// Append-only binary write-ahead log for the ledger, and the only store
+// of its rows: the journal chain IS the seller's sales history. A
+// segment file is an 8-byte magic header ("NIMBUSJ1") followed by
+// length-prefixed records:
 //
 //   u32 payload_len | u32 crc32(payload) | payload
 //
@@ -29,15 +31,20 @@ namespace nimbus::market {
 // mid-append) or corruption (a full-length record whose CRC or encoding
 // is wrong).
 //
-// Rotated segments (produced by Rotate after a checkpoint truncates
-// history) carry the "NIMBUSJ2" magic followed by
+// A segment that does not start at sequence 0 carries the "NIMBUSJ2"
+// magic followed by
 //
 //   u64 base_sequence | u32 crc32(base_sequence)
 //
-// before the first record: the segment holds only records with
-// sequence >= base_sequence, the earlier prefix being covered by a
-// snapshot (market/snapshot.h). A J1 file is simply a segment with base
-// sequence 0; both magics replay through the same code path.
+// before the first record; a J1 file is simply a segment with base 0.
+//
+// The chain: `path` is the live segment, the only file ever appended
+// to. At a checkpoint, Rotate seals it unchanged as
+// `<path>.seg.<base>` and starts a fresh live segment at the
+// checkpoint's sequence. Sealed segments are never rewritten or pruned;
+// in base order, followed by the live segment, they hold every record
+// ever committed, densely numbered. ReadChain is the one reader over
+// them (restore tails, the full-replay rung, history reads).
 class Journal {
  public:
   // When to force bytes to stable storage.
@@ -57,13 +64,14 @@ class Journal {
     int64_t create_base_sequence = 0;
   };
 
-  // Opens `path` for appending, creating it (with header) when absent.
-  // An existing file must be a structurally valid journal ending on a
-  // record boundary: Open scans it and fails with kFailedPrecondition on
-  // a torn or corrupt tail, because appending past one would bury the
-  // damage behind fresh records and silently diverge replay from the
-  // acknowledged history. Run Journal::Replay (which truncates torn
-  // tails) — or the marketplace's restore path — first, then re-open.
+  // Opens the live segment `path` for appending, creating it (with
+  // header) when absent. An existing file must be a structurally valid
+  // journal ending on a record boundary: Open scans it and fails with
+  // kFailedPrecondition on a torn or corrupt tail, because appending
+  // past one would bury the damage behind fresh records and silently
+  // diverge replay from the acknowledged history. Run Journal::Replay
+  // (which truncates torn tails) — or the marketplace's restore path —
+  // first, then re-open.
   static StatusOr<Journal> Open(const std::string& path, Options options);
 
   Journal(Journal&& other) noexcept;
@@ -72,9 +80,9 @@ class Journal {
   Journal& operator=(const Journal&) = delete;
   ~Journal();
 
-  // Appends one record (write-through target of Ledger::Record). The
-  // entry is fully buffered into one fwrite so a crash between appends
-  // never interleaves partial records from this process.
+  // Appends one record. The record is fully buffered into one fwrite so
+  // a crash between appends never interleaves partial records from this
+  // process.
   //
   // Append is idempotent across failed attempts of the SAME record:
   // when an append got its bytes buffered but failed at the flush/fsync
@@ -94,7 +102,15 @@ class Journal {
   // `trace` (optional) nests the append span under the committing
   // request, annotated "retry-reflush" / "poisoned" as applicable.
   Status Append(const LedgerEntry& entry,
-                const telemetry::TraceContext* trace = nullptr);
+                const telemetry::TraceContext* trace = nullptr) {
+    return AppendPayload(entry.sequence, EncodePayload(entry), trace);
+  }
+
+  // Append for a payload already encoded by EncodePayload — the
+  // write-through target of Ledger::Record, which folds the same bytes
+  // into its fingerprint.
+  Status AppendPayload(int64_t sequence, const std::string& payload,
+                       const telemetry::TraceContext* trace = nullptr);
 
   // Flushes user-space buffers and, under kEveryRecord, fsyncs.
   Status Flush();
@@ -113,18 +129,49 @@ class Journal {
   // Idempotent.
   void Discard();
 
-  // Rotates this journal after a checkpoint: rewrites the live file so
-  // it holds only records with sequence >= `new_base_sequence` under a
-  // J2 segment header, renaming the pre-rotation file to `path + ".prev"`
-  // (one retained predecessor segment — the fallback rung's tail) before
-  // atomically installing the filtered segment. The journal stays open
-  // for appending throughout; a failed rotation leaves the original file
-  // intact and appendable. Fault point: `journal.rotate`.
+  // Seals the live segment after a checkpoint at `new_base_sequence`,
+  // which must be the next sequence this segment would append: the file
+  // is renamed unchanged to SealedSegmentPath(path, base_sequence()),
+  // then a fresh J2 live segment with base `new_base_sequence` is
+  // installed (header written to `<path>.tmp`, fsynced, renamed into
+  // place). The journal stays open for appending throughout; a failure
+  // before the seal rename leaves the live segment untouched and
+  // appendable. A crash between the two renames leaves no live segment,
+  // which restore recreates at the restored sequence. An empty live
+  // segment (new_base_sequence == base_sequence()) is not sealed. Fault
+  // point: `journal.rotate` (status, or enospc: the new header runs out
+  // of disk halfway).
   Status Rotate(int64_t new_base_sequence);
+
+  // `<path>.seg.NNNNNNNNNNNN`: the sealed segment whose first record has
+  // sequence `base`.
+  static std::string SealedSegmentPath(const std::string& path, int64_t base);
+
+  struct SegmentFile {
+    int64_t base = 0;  // From the file name.
+    std::string path;
+  };
+  // The sealed segments of the chain at `path`, by ascending base
+  // (directory scan; an unreadable directory yields none).
+  static std::vector<SegmentFile> SealedSegments(const std::string& path);
+
+  // Reads the chain at `path` — sealed segments, then the live one — and
+  // returns its records with sequence >= `from_sequence`. Only the
+  // segments that can hold such records are read, so a restore tail is
+  // O(delta). Every record read is CRC-checked and must continue the
+  // sequence densely, across segment boundaries too; each segment's
+  // header base must match its file name. A torn tail is truncated only
+  // in the newest file (the live segment, or the last sealed one when a
+  // crash left no live segment); damage in any older file, a sequence
+  // gap or overlap, two segments sharing a base, or a chain that starts
+  // after or ends before `from_sequence` is kInternal, with every file
+  // left untouched. kNotFound when no segment exists at all.
+  static StatusOr<std::vector<LedgerEntry>> ReadChain(const std::string& path,
+                                                      int64_t from_sequence);
 
   const std::string& path() const { return path_; }
 
-  // First sequence this segment can hold (0 for an unrotated J1 file).
+  // First sequence the live segment can hold (0 for a J1 file).
   int64_t base_sequence() const { return base_sequence_; }
 
   // Current size of the live segment in bytes (header + appended
@@ -158,11 +205,11 @@ class Journal {
     bool truncate_torn_tail = true;
   };
 
-  // Replays `path`, returning the longest valid prefix of records (never
-  // crashes on arbitrary bytes). `report`, when non-null, receives the
-  // tail diagnosis either way. The two-argument overload uses the
-  // default ReplayOptions (lenient, truncating torn tails). Fault point:
-  // `journal.replay`.
+  // Replays one segment file `path`, returning the longest valid prefix
+  // of records (never crashes on arbitrary bytes). `report`, when
+  // non-null, receives the tail diagnosis either way. The two-argument
+  // overload uses the default ReplayOptions (lenient, truncating torn
+  // tails). Fault point: `journal.replay`.
   static StatusOr<std::vector<LedgerEntry>> Replay(const std::string& path,
                                                    RecoveryReport* report,
                                                    ReplayOptions options);
@@ -175,10 +222,12 @@ class Journal {
   // Serializes one entry to the record payload format (exposed for
   // tests constructing hand-corrupted journals).
   static std::string EncodePayload(const LedgerEntry& entry);
+  // The same, into `out` (replacing its contents, keeping its capacity)
+  // for callers that encode many entries.
+  static void EncodePayload(const LedgerEntry& entry, std::string* out);
 
-  // Inverse of EncodePayload (the snapshot's LEDG section shares the
-  // record codec).
-  static StatusOr<LedgerEntry> DecodePayload(const std::string& payload);
+  // Inverse of EncodePayload.
+  static StatusOr<LedgerEntry> DecodePayload(std::string_view payload);
 
  private:
   Journal(std::string path, Options options, std::FILE* file)
@@ -195,6 +244,10 @@ class Journal {
   Options options_;
   std::FILE* file_ = nullptr;
   int64_t base_sequence_ = 0;
+  // Sequence the next new record must carry (base + records in the live
+  // segment) — Rotate seals only at this boundary so the chain stays
+  // dense.
+  int64_t next_sequence_ = 0;
   // Size of the live segment (header + records, buffered included),
   // maintained in-memory so the checkpointer's cadence check never
   // stats the file. Atomic so live_bytes() needs no lock.

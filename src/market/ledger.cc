@@ -2,13 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <iterator>
-#include <limits>
-#include <sstream>
 #include <utility>
 
-#include "common/logging.h"
 #include "common/telemetry.h"
 #include "market/journal.h"
 
@@ -18,9 +13,7 @@ namespace {
 // Audit counters mirrored into the telemetry registry on every Record,
 // so benches and the metrics snapshot report revenue without re-walking
 // the ledger — labeled per offering (the entry's model kind), matching
-// the broker's per-offering families. Per-price-point counters are
-// keyed by the formatted inverse-NCP (cardinality is bounded by the
-// broker's version grid).
+// the broker's per-offering families.
 telemetry::CounterVec& LedgerSalesVec() {
   static telemetry::CounterVec& vec =
       telemetry::Registry::Global().GetCounterVec("ledger_sales_total",
@@ -33,121 +26,6 @@ telemetry::GaugeVec& LedgerRevenueVec() {
       telemetry::Registry::Global().GetGaugeVec("ledger_revenue_total",
                                                 "offering");
   return vec;
-}
-
-telemetry::Counter& RecoveredRecordsCounter() {
-  static telemetry::Counter& counter =
-      telemetry::Registry::Global().GetCounter("journal_recovered_records");
-  return counter;
-}
-
-// RFC-4180 field quoting: fields containing the separator, quotes or
-// line breaks are wrapped in quotes with embedded quotes doubled, so a
-// buyer id like `mallory",,"0` cannot inject audit columns.
-std::string CsvField(const std::string& field) {
-  if (field.find_first_of(",\"\r\n") == std::string::npos) {
-    return field;
-  }
-  std::string out;
-  out.reserve(field.size() + 2);
-  out += '"';
-  for (char c : field) {
-    if (c == '"') {
-      out += '"';
-    }
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-// Splits RFC-4180 text into rows of fields, honoring quoted fields
-// (which may contain commas, doubled quotes, and line breaks).
-StatusOr<std::vector<std::vector<std::string>>> ParseCsv(
-    const std::string& text) {
-  std::vector<std::vector<std::string>> rows;
-  std::vector<std::string> row;
-  std::string field;
-  bool in_quotes = false;
-  bool field_started = false;
-  size_t i = 0;
-  auto end_field = [&] {
-    row.push_back(std::move(field));
-    field.clear();
-    field_started = false;
-  };
-  auto end_row = [&] {
-    end_field();
-    rows.push_back(std::move(row));
-    row.clear();
-  };
-  while (i < text.size()) {
-    const char c = text[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < text.size() && text[i + 1] == '"') {
-          field += '"';
-          i += 2;
-          continue;
-        }
-        in_quotes = false;
-        ++i;
-        continue;
-      }
-      field += c;
-      ++i;
-      continue;
-    }
-    switch (c) {
-      case '"':
-        if (field_started || !field.empty()) {
-          return InvalidArgumentError(
-              "CSV quote opened mid-field at byte " + std::to_string(i));
-        }
-        in_quotes = true;
-        field_started = true;
-        ++i;
-        break;
-      case ',':
-        end_field();
-        ++i;
-        break;
-      case '\r':
-        if (i + 1 < text.size() && text[i + 1] == '\n') {
-          ++i;
-        }
-        end_row();
-        ++i;
-        break;
-      case '\n':
-        end_row();
-        ++i;
-        break;
-      default:
-        field += c;
-        field_started = true;
-        ++i;
-    }
-  }
-  if (in_quotes) {
-    return InvalidArgumentError("CSV ends inside a quoted field");
-  }
-  if (field_started || !field.empty() || !row.empty()) {
-    end_row();
-  }
-  return rows;
-}
-
-StatusOr<double> ParseDouble(const std::string& token, const char* what,
-                             size_t row) {
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(token.c_str(), &end);
-  if (errno != 0 || end == token.c_str() || *end != '\0') {
-    return InvalidArgumentError("bad " + std::string(what) + " '" + token +
-                                "' on CSV row " + std::to_string(row));
-  }
-  return value;
 }
 
 }  // namespace
@@ -174,9 +52,9 @@ Status Ledger::ValidateFields(const std::string& buyer_id, double inverse_ncp,
   return OkStatus();
 }
 
-void Ledger::Commit(const LedgerEntry& entry) {
-  entries_.push_back(entry);
+void Ledger::Commit(const LedgerEntry& entry, const std::string& payload) {
   ++next_sequence_;
+  fingerprint_ = Fnv1a64(payload, fingerprint_);
   total_revenue_ += entry.price;
   spend_by_buyer_[entry.buyer_id] += entry.price;
   ++sales_per_price_point_[entry.inverse_ncp];
@@ -202,11 +80,15 @@ StatusOr<int64_t> Ledger::Record(const std::string& buyer_id,
   entry.expected_error = expected_error;
   // Durability first: the sale is acknowledged only after the journal
   // accepts it, so a crashed process never has acknowledged sales
-  // missing from the WAL and a failed append never half-records.
+  // missing from the WAL and a failed append never half-records. The
+  // payload is encoded once: the journal writes the bytes the
+  // fingerprint folds.
+  const std::string payload = Journal::EncodePayload(entry);
   if (journal_ != nullptr) {
-    NIMBUS_RETURN_IF_ERROR(journal_->Append(entry, trace));
+    NIMBUS_RETURN_IF_ERROR(
+        journal_->AppendPayload(entry.sequence, payload, trace));
   }
-  Commit(entry);
+  Commit(entry, payload);
   return entry.sequence;
 }
 
@@ -226,46 +108,18 @@ Status Ledger::FlushJournal() {
   return journal_ == nullptr ? OkStatus() : journal_->Flush();
 }
 
-StatusOr<Ledger> Ledger::Recover(const std::string& path) {
-  NIMBUS_ASSIGN_OR_RETURN(std::vector<LedgerEntry> entries,
-                          Journal::Replay(path));
-  NIMBUS_ASSIGN_OR_RETURN(Ledger ledger, FromEntries(entries));
-  RecoveredRecordsCounter().Increment(static_cast<int64_t>(entries.size()));
-  return ledger;
-}
-
-StatusOr<Ledger> Ledger::FromEntries(const std::vector<LedgerEntry>& entries) {
-  Ledger ledger;
-  for (const LedgerEntry& entry : entries) {
-    if (entry.sequence != ledger.size()) {
-      return FailedPreconditionError(
-          "journal sequence gap: expected " + std::to_string(ledger.size()) +
-          ", found " + std::to_string(entry.sequence));
-    }
-    NIMBUS_RETURN_IF_ERROR(ValidateFields(entry.buyer_id, entry.inverse_ncp,
-                                          entry.price, entry.expected_error));
-    ledger.Commit(entry);
-  }
-  return ledger;
-}
-
 StatusOr<Ledger> Ledger::FromRecoveredState(
-    int64_t count, double total_revenue,
+    int64_t count, uint64_t fingerprint, double total_revenue,
     std::map<std::string, double> spend_by_buyer,
     std::map<double, int64_t> sales_per_price_point,
     std::map<ml::ModelKind, double> revenue_by_model,
-    std::map<ml::ModelKind, int64_t> sales_by_model, EntryLoader loader) {
+    std::map<ml::ModelKind, int64_t> sales_by_model) {
   if (count < 0) {
     return InvalidArgumentError("recovered entry count must be >= 0");
   }
-  if (count > 0 && loader == nullptr) {
-    return InvalidArgumentError(
-        "a recovered ledger covering entries needs an entry loader");
-  }
   Ledger ledger;
   ledger.next_sequence_ = count;
-  ledger.entries_base_ = count;
-  ledger.base_loader_ = count > 0 ? std::move(loader) : nullptr;
+  ledger.fingerprint_ = fingerprint;
   ledger.total_revenue_ = total_revenue;
   ledger.spend_by_buyer_ = std::move(spend_by_buyer);
   ledger.sales_per_price_point_ = std::move(sales_per_price_point);
@@ -286,51 +140,20 @@ StatusOr<Ledger> Ledger::FromRecoveredState(
   return ledger;
 }
 
-Status Ledger::ApplyRecovered(const LedgerEntry& entry) {
-  if (entry.sequence != next_sequence_) {
-    return FailedPreconditionError(
-        "journal sequence gap: expected " + std::to_string(next_sequence_) +
-        ", found " + std::to_string(entry.sequence));
-  }
-  NIMBUS_RETURN_IF_ERROR(ValidateFields(entry.buyer_id, entry.inverse_ncp,
-                                        entry.price, entry.expected_error));
-  Commit(entry);
-  return OkStatus();
-}
-
-Status Ledger::Hydrate() {
-  if (entries_base_ == 0) {
-    return OkStatus();
-  }
-  NIMBUS_ASSIGN_OR_RETURN(std::vector<LedgerEntry> base, base_loader_());
-  if (static_cast<int64_t>(base.size()) != entries_base_) {
-    return InternalError("hydration loader returned " +
-                         std::to_string(base.size()) + " entries, want " +
-                         std::to_string(entries_base_));
-  }
-  for (size_t i = 0; i < base.size(); ++i) {
-    if (base[i].sequence != static_cast<int64_t>(i)) {
-      return InternalError("hydration loader entry " + std::to_string(i) +
-                           " carries sequence " +
-                           std::to_string(base[i].sequence));
+Status Ledger::ApplyRecovered(const std::vector<LedgerEntry>& tail) {
+  std::string payload;  // Reused: one encoding buffer for the whole tail.
+  for (const LedgerEntry& entry : tail) {
+    if (entry.sequence != next_sequence_) {
+      return FailedPreconditionError(
+          "journal sequence gap: expected " + std::to_string(next_sequence_) +
+          ", found " + std::to_string(entry.sequence));
     }
-    NIMBUS_RETURN_IF_ERROR(ValidateFields(base[i].buyer_id,
-                                          base[i].inverse_ncp, base[i].price,
-                                          base[i].expected_error));
+    NIMBUS_RETURN_IF_ERROR(ValidateFields(entry.buyer_id, entry.inverse_ncp,
+                                          entry.price, entry.expected_error));
+    Journal::EncodePayload(entry, &payload);
+    Commit(entry, payload);
   }
-  base.insert(base.end(), std::make_move_iterator(entries_.begin()),
-              std::make_move_iterator(entries_.end()));
-  entries_ = std::move(base);
-  entries_base_ = 0;
-  base_loader_ = nullptr;
   return OkStatus();
-}
-
-const std::vector<LedgerEntry>& Ledger::entries() const {
-  NIMBUS_CHECK(hydrated())
-      << "ledger entry rows accessed before Hydrate() on a "
-         "hydration-deferred restore";
-  return entries_;
 }
 
 std::map<double, int64_t> Ledger::SalesPerPricePoint() const {
@@ -361,58 +184,14 @@ std::vector<std::pair<std::string, double>> Ledger::TopBuyers(
   return buyers;
 }
 
-std::vector<LedgerEntry> Ledger::EntriesForBuyer(
-    const std::string& buyer_id) const {
-  std::vector<LedgerEntry> out;
-  for (const LedgerEntry& e : entries()) {
-    if (e.buyer_id == buyer_id) {
-      out.push_back(e);
-    }
+uint64_t FingerprintRows(const std::vector<LedgerEntry>& rows) {
+  uint64_t fingerprint = kFnv64OffsetBasis;
+  std::string payload;
+  for (const LedgerEntry& row : rows) {
+    Journal::EncodePayload(row, &payload);
+    fingerprint = Fnv1a64(payload, fingerprint);
   }
-  return out;
-}
-
-std::string Ledger::ToCsv() const {
-  std::ostringstream out;
-  out.precision(std::numeric_limits<double>::max_digits10);
-  out << "sequence,buyer,model,inverse_ncp,price,expected_error\n";
-  for (const LedgerEntry& e : entries()) {
-    out << e.sequence << ',' << CsvField(e.buyer_id) << ','
-        << ml::ModelKindToString(e.model) << ',' << e.inverse_ncp << ','
-        << e.price << ',' << e.expected_error << '\n';
-  }
-  return out.str();
-}
-
-StatusOr<Ledger> Ledger::FromCsv(const std::string& text) {
-  NIMBUS_ASSIGN_OR_RETURN(std::vector<std::vector<std::string>> rows,
-                          ParseCsv(text));
-  if (rows.empty() || rows.front().size() != 6 ||
-      rows.front().front() != "sequence") {
-    return InvalidArgumentError("missing ledger CSV header");
-  }
-  std::vector<LedgerEntry> entries;
-  for (size_t r = 1; r < rows.size(); ++r) {
-    const std::vector<std::string>& row = rows[r];
-    if (row.size() != 6) {
-      return InvalidArgumentError("ledger CSV row " + std::to_string(r) +
-                                  " has " + std::to_string(row.size()) +
-                                  " fields, want 6");
-    }
-    LedgerEntry entry;
-    NIMBUS_ASSIGN_OR_RETURN(const double sequence,
-                            ParseDouble(row[0], "sequence", r));
-    entry.sequence = static_cast<int64_t>(sequence);
-    entry.buyer_id = row[1];
-    NIMBUS_ASSIGN_OR_RETURN(entry.model, ml::ModelKindFromString(row[2]));
-    NIMBUS_ASSIGN_OR_RETURN(entry.inverse_ncp,
-                            ParseDouble(row[3], "inverse_ncp", r));
-    NIMBUS_ASSIGN_OR_RETURN(entry.price, ParseDouble(row[4], "price", r));
-    NIMBUS_ASSIGN_OR_RETURN(entry.expected_error,
-                            ParseDouble(row[5], "expected_error", r));
-    entries.push_back(std::move(entry));
-  }
-  return FromEntries(entries);
+  return fingerprint;
 }
 
 }  // namespace nimbus::market

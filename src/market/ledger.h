@@ -1,12 +1,12 @@
 #ifndef NIMBUS_MARKET_LEDGER_H_
 #define NIMBUS_MARKET_LEDGER_H_
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/statusor.h"
 #include "common/telemetry.h"
 #include "ml/model.h"
@@ -25,25 +25,23 @@ struct LedgerEntry {
   double expected_error = 0.0;
 };
 
-// Append-only transaction log with simple reporting queries. The ledger
-// is the seller's audit trail: it backs revenue accounting, per-model
-// break-downs, and feeds the CollusionMonitor with purchase histories.
+// The seller's books: running aggregates over every priced sale, in
+// commit order. The ledger backs revenue accounting and per-model
+// break-downs; the rows themselves live in exactly one place, the
+// write-ahead journal (market/journal.h), whose sealed segments plus
+// live segment are the full sales history (Journal::ReadChain).
 //
 // Reporting queries (TotalRevenue, RevenueForModel, SalesPerPricePoint,
 // TopBuyers) are served from aggregates accumulated at commit time in
-// commit order — never by re-walking the entry log — so they cost O(1)
-// in history AND stay bit-identical across a snapshot restore (the
-// snapshot stores the accumulated doubles verbatim; floating-point
-// addition order is preserved by construction).
+// commit order, so they cost O(1) in history AND stay bit-identical
+// across a snapshot restore (the snapshot stores the accumulated doubles
+// verbatim; floating-point addition order is preserved by construction).
 //
-// A ledger restored from a checkpoint may start UNHYDRATED: aggregates
-// and sequence counters are live, but the entry rows covered by the
-// snapshot are represented by a loader instead of being decoded up
-// front. That is what makes recovery O(delta): the timed restore path
-// touches only the post-snapshot journal tail. Row-level audit queries
-// (entries(), ToCsv, EntriesForBuyer) require hydration;
-// Marketplace::RestoreFromCheckpoint hydrates eagerly by default and
-// defers only when explicitly asked.
+// Fingerprint() identifies the history itself: FNV-1a 64 over every
+// committed row's journal payload bytes, in commit order. Two ledgers
+// with equal size, fingerprint and revenue booked the same rows byte for
+// byte; FingerprintRows recomputes it from rows read back off the
+// journal chain.
 class Ledger {
  public:
   Ledger();
@@ -67,8 +65,8 @@ class Ledger {
   // ----- Durability ------------------------------------------------------
   // Attaches a write-ahead journal (market/journal.h); every subsequent
   // Record appends there before committing in memory. The journal must
-  // correspond to this ledger's current state — freshly opened for an
-  // empty ledger, or the recovered journal after Recover().
+  // correspond to this ledger's current state: freshly opened for an
+  // empty ledger, or re-opened by Marketplace::RestoreFromCheckpoint.
   Status AttachJournal(std::unique_ptr<Journal> journal);
   bool journaling() const { return journal_ != nullptr; }
   // Detaches and returns the journal (e.g. to Close it explicitly).
@@ -83,60 +81,36 @@ class Ledger {
   // last step of a graceful drain.
   Status FlushJournal();
 
-  // Rebuilds a ledger from a journal file: replays the longest valid
-  // record prefix (truncating a torn tail so the file is append-clean),
-  // then revalidates every entry and the sequence numbering. The
-  // recovered ledger reproduces TotalRevenue/SalesPerPricePoint
-  // bit-identically. Counted in `journal_recovered_records`. The
-  // returned ledger has no journal attached; call AttachJournal (or use
-  // Marketplace::RestoreFromJournal) to resume journaling.
-  static StatusOr<Ledger> Recover(const std::string& path);
-
-  // Rebuilds a ledger from already-replayed entries (sequence numbers
-  // must be 0..n-1 in order; fields must satisfy Record's invariants).
-  static StatusOr<Ledger> FromEntries(const std::vector<LedgerEntry>& entries);
-
   // ----- Checkpoint restore ----------------------------------------------
-  // Loads the entry rows [0, entries_base) of a hydration-deferred
-  // ledger; the ledger owns no copy until then (see EntryLoader below).
-  using EntryLoader = std::function<StatusOr<std::vector<LedgerEntry>>()>;
-
-  // Rebuilds a ledger from snapshot aggregates without decoding the
-  // covered entry rows: `count` entries are accounted for, queries serve
-  // from the given accumulators, and `loader` (required when count > 0)
-  // supplies rows [0, count) on Hydrate(). Mirrors the audit telemetry
-  // in bulk so /metrics matches the pre-crash process. Aggregate doubles
-  // are installed verbatim — bit-identical restore is the caller's
-  // contract, not a recomputation.
+  // Rebuilds a ledger from snapshot aggregates: `count` rows and their
+  // `fingerprint` are accounted for, and queries serve from the given
+  // accumulators. Mirrors the audit telemetry in bulk so /metrics
+  // matches the pre-crash process. Aggregate doubles are installed
+  // verbatim — bit-identical restore is the caller's contract, not a
+  // recomputation. A full replay starts from the empty state: count 0,
+  // fingerprint kFnv64OffsetBasis, no aggregates.
   static StatusOr<Ledger> FromRecoveredState(
-      int64_t count, double total_revenue,
+      int64_t count, uint64_t fingerprint, double total_revenue,
       std::map<std::string, double> spend_by_buyer,
       std::map<double, int64_t> sales_per_price_point,
       std::map<ml::ModelKind, double> revenue_by_model,
-      std::map<ml::ModelKind, int64_t> sales_by_model, EntryLoader loader);
+      std::map<ml::ModelKind, int64_t> sales_by_model);
 
-  // Commits one journal-tail entry during recovery: validates fields and
-  // that `entry.sequence` is exactly the next sequence, then applies it
-  // through the normal commit path (aggregates + telemetry).
-  Status ApplyRecovered(const LedgerEntry& entry);
+  // Commits journal-tail entries in order during recovery: validates
+  // each entry's fields and that its sequence is exactly the next one,
+  // then applies it through the normal commit path (aggregates,
+  // fingerprint, telemetry). Stops at the first invalid entry.
+  Status ApplyRecovered(const std::vector<LedgerEntry>& tail);
 
-  // Whether every entry row is resident. Always true except after
-  // FromRecoveredState with a deferred loader.
-  bool hydrated() const { return entries_base_ == 0; }
-
-  // Loads the snapshot-covered rows via the deferred loader, verifying
-  // count and sequence density. Idempotent; kFailedPrecondition-free on
-  // an already-hydrated ledger.
-  Status Hydrate();
-
+  // Number of committed rows (== the next sequence to assign).
   int64_t size() const { return next_sequence_; }
-  // Full entry log. The ledger must be hydrated — audit row access on a
-  // deferred restore without Hydrate() is a programming error and
-  // crashes with a diagnostic rather than returning partial history.
-  const std::vector<LedgerEntry>& entries() const;
 
   // Number of recorded sales (same as size(); named for audit reports).
   int64_t SaleCount() const { return size(); }
+
+  // Running FNV-1a 64 over the committed rows' journal payloads (class
+  // comment).
+  uint64_t Fingerprint() const { return fingerprint_; }
 
   // Sale count per supported price point x = 1/δ, ascending in x.
   std::map<double, int64_t> SalesPerPricePoint() const;
@@ -150,36 +124,19 @@ class Ledger {
   // Total spend per buyer, descending; ties broken by buyer id.
   std::vector<std::pair<std::string, double>> TopBuyers(int limit) const;
 
-  // All entries of one buyer, in purchase order.
-  std::vector<LedgerEntry> EntriesForBuyer(const std::string& buyer_id) const;
-
-  // Serializes the ledger as RFC-4180 CSV:
-  //   sequence,buyer,model,inverse_ncp,price,expected_error
-  // Buyer ids containing commas, quotes, CR or LF are quoted (embedded
-  // quotes doubled) so hostile ids cannot forge audit rows.
-  std::string ToCsv() const;
-
-  // Parses a ToCsv export back into a ledger (round-trip audit import).
-  static StatusOr<Ledger> FromCsv(const std::string& text);
-
  private:
   friend class Marketplace;  // CaptureSnapshotState reads the aggregates.
 
   // Validates Record's field invariants.
   static Status ValidateFields(const std::string& buyer_id, double inverse_ncp,
                                double price, double expected_error);
-  // Appends a validated entry and mirrors the audit telemetry.
-  void Commit(const LedgerEntry& entry);
+  // Applies a validated entry whose journal payload is `payload`, and
+  // mirrors the audit telemetry.
+  void Commit(const LedgerEntry& entry, const std::string& payload);
 
-  // Entry rows from sequence `entries_base_` on. 0 except on a
-  // hydration-deferred restore, where rows [0, entries_base_) live
-  // behind `base_loader_` until Hydrate().
-  std::vector<LedgerEntry> entries_;
-  int64_t entries_base_ = 0;
-  EntryLoader base_loader_;
-
-  // Next sequence to assign == total committed rows (resident or not).
+  // Next sequence to assign == total committed rows.
   int64_t next_sequence_ = 0;
+  uint64_t fingerprint_ = kFnv64OffsetBasis;
 
   // Reporting aggregates, accumulated in commit order (see class
   // comment for the bit-identity argument).
@@ -191,6 +148,10 @@ class Ledger {
 
   std::unique_ptr<Journal> journal_;
 };
+
+// The value Ledger::Fingerprint() reaches after committing `rows` in
+// order to an empty ledger.
+uint64_t FingerprintRows(const std::vector<LedgerEntry>& rows);
 
 }  // namespace nimbus::market
 

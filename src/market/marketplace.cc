@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <memory>
 #include <utility>
 
@@ -44,15 +43,6 @@ telemetry::Histogram& RecoveryLatency() {
   return histogram;
 }
 
-bool FileExists(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return false;
-  }
-  std::fclose(file);
-  return true;
-}
-
 // Clears the marketplace's "recovering" flag on every exit path.
 struct RecoveringGuard {
   std::shared_ptr<std::atomic<bool>> flag;
@@ -67,9 +57,8 @@ struct RecoveringGuard {
 // validated BEFORE any marketplace state mutates — the recovery ladder
 // rejects a candidate and falls back a rung without side effects.
 struct RestoreCandidate {
-  snapshot::State state;                  // Shallow (aggregates only).
-  std::vector<LedgerEntry> base_entries;  // Loaded iff options.hydrate.
-  std::vector<LedgerEntry> tail;          // Dense from state.sequence.
+  snapshot::State state;         // Empty for the full-replay rung.
+  std::vector<LedgerEntry> tail;  // Dense from state.sequence.
 };
 
 Status CheckOffered(const std::map<ml::ModelKind, Broker>& brokers,
@@ -83,16 +72,10 @@ Status CheckOffered(const std::map<ml::ModelKind, Broker>& brokers,
   return OkStatus();
 }
 
-// Mirrors the invariants Ledger::ApplyRecovered and the monitor/broker
-// restore hooks enforce, so every checkable failure mode surfaces while
-// the candidate can still be rejected cleanly.
-Status ValidateTailEntry(const LedgerEntry& entry, int64_t expected_sequence) {
-  if (entry.sequence != expected_sequence) {
-    return InternalError(
-        "journal tail has a sequence gap: expected " +
-        std::to_string(expected_sequence) + ", found " +
-        std::to_string(entry.sequence));
-  }
+// Mirrors the field invariants Ledger::ApplyRecovered enforces, so every
+// checkable failure mode surfaces while the candidate can still be
+// rejected cleanly (ReadChain already proved the sequence dense).
+Status ValidateTailEntry(const LedgerEntry& entry) {
   if (entry.buyer_id.empty() || !std::isfinite(entry.inverse_ncp) ||
       entry.inverse_ncp <= 0.0 || !std::isfinite(entry.price) ||
       entry.price < 0.0 || !std::isfinite(entry.expected_error)) {
@@ -103,84 +86,19 @@ Status ValidateTailEntry(const LedgerEntry& entry, int64_t expected_sequence) {
   return OkStatus();
 }
 
-// Collects the journal records with sequence >= `min_sequence`, merging
-// the live segment with the `.prev` segment a rotation (or a crash
-// inside one) may have left behind:
-//   - live segment base <= min_sequence: the live segment alone covers
-//     the tail (the steady state — rotation keeps the live base at the
-//     PREVIOUS checkpoint's sequence).
-//   - live base > min_sequence: the `.prev` segment must bridge
-//     [min_sequence, live_base).
-//   - live segment missing: a crash hit the window between Rotate's two
-//     renames; `.prev` (the complete pre-rotation file) is authoritative.
-// A torn live tail is truncated here (crash healing), so the later
-// re-attach Open() finds an append-clean file. Density is NOT checked
-// here — the caller validates the merged tail entry by entry.
-StatusOr<std::vector<LedgerEntry>> CollectTailEntries(
-    const std::string& journal_path, int64_t min_sequence) {
-  const std::string prev_path = journal_path + ".prev";
-  const bool live_exists = FileExists(journal_path);
-  const bool prev_exists = FileExists(prev_path);
-  std::vector<LedgerEntry> out;
-  if (live_exists) {
-    Journal::RecoveryReport live_report;
-    NIMBUS_ASSIGN_OR_RETURN(std::vector<LedgerEntry> live,
-                            Journal::Replay(journal_path, &live_report));
-    if (live_report.base_sequence > min_sequence) {
-      if (!prev_exists) {
-        return InternalError(
-            "live journal segment starts at sequence " +
-            std::to_string(live_report.base_sequence) +
-            " but the restore needs records from " +
-            std::to_string(min_sequence) + " and no .prev segment exists");
-      }
-      Journal::ReplayOptions read_only;
-      read_only.truncate_torn_tail = false;
-      Journal::RecoveryReport prev_report;
-      NIMBUS_ASSIGN_OR_RETURN(
-          std::vector<LedgerEntry> prev,
-          Journal::Replay(prev_path, &prev_report, read_only));
-      if (prev_report.base_sequence > min_sequence) {
-        return InternalError(
-            ".prev journal segment starts at sequence " +
-            std::to_string(prev_report.base_sequence) +
-            " and cannot bridge back to " + std::to_string(min_sequence));
-      }
-      for (LedgerEntry& entry : prev) {
-        if (entry.sequence >= min_sequence &&
-            entry.sequence < live_report.base_sequence) {
-          out.push_back(std::move(entry));
-        }
-      }
-    }
-    for (LedgerEntry& entry : live) {
-      if (entry.sequence >= min_sequence) {
-        out.push_back(std::move(entry));
-      }
-    }
-    return out;
+// Reads the journal chain from `candidate.state.sequence` into the
+// candidate's tail and validates every tail row.
+Status ReadTail(const std::string& journal_path,
+                const std::map<ml::ModelKind, Broker>& brokers,
+                RestoreCandidate& candidate) {
+  NIMBUS_ASSIGN_OR_RETURN(
+      candidate.tail,
+      Journal::ReadChain(journal_path, candidate.state.sequence));
+  for (const LedgerEntry& entry : candidate.tail) {
+    NIMBUS_RETURN_IF_ERROR(ValidateTailEntry(entry));
+    NIMBUS_RETURN_IF_ERROR(CheckOffered(brokers, entry.model, "journal"));
   }
-  if (prev_exists) {
-    Journal::ReplayOptions read_only;
-    read_only.truncate_torn_tail = false;
-    Journal::RecoveryReport prev_report;
-    NIMBUS_ASSIGN_OR_RETURN(
-        std::vector<LedgerEntry> prev,
-        Journal::Replay(prev_path, &prev_report, read_only));
-    if (prev_report.base_sequence > min_sequence) {
-      return InternalError(
-          "live journal segment is missing and the .prev segment starts "
-          "at sequence " +
-          std::to_string(prev_report.base_sequence) +
-          ", past the needed " + std::to_string(min_sequence));
-    }
-    for (LedgerEntry& entry : prev) {
-      if (entry.sequence >= min_sequence) {
-        out.push_back(std::move(entry));
-      }
-    }
-  }
-  return out;  // Neither file: empty tail (caller decides if that's OK).
+  return OkStatus();
 }
 
 // Validates one snapshot generation end to end (structure, model kinds,
@@ -188,7 +106,7 @@ StatusOr<std::vector<LedgerEntry>> CollectTailEntries(
 // touching marketplace state.
 StatusOr<RestoreCandidate> BuildCandidate(
     const std::string& snapshot_file, const std::string& journal_path,
-    bool hydrate, const std::map<ml::ModelKind, Broker>& brokers) {
+    const std::map<ml::ModelKind, Broker>& brokers) {
   RestoreCandidate candidate;
   NIMBUS_ASSIGN_OR_RETURN(candidate.state, snapshot::Read(snapshot_file));
   for (const auto& [kind, monitor_state] : candidate.state.monitors) {
@@ -224,21 +142,7 @@ StatusOr<RestoreCandidate> BuildCandidate(
     NIMBUS_RETURN_IF_ERROR(
         CheckOffered(brokers, kind, "snapshot sales aggregate"));
   }
-  NIMBUS_ASSIGN_OR_RETURN(
-      candidate.tail,
-      CollectTailEntries(journal_path, candidate.state.sequence));
-  for (size_t i = 0; i < candidate.tail.size(); ++i) {
-    const LedgerEntry& entry = candidate.tail[i];
-    NIMBUS_RETURN_IF_ERROR(ValidateTailEntry(
-        entry, candidate.state.sequence + static_cast<int64_t>(i)));
-    NIMBUS_RETURN_IF_ERROR(CheckOffered(brokers, entry.model, "journal tail"));
-  }
-  if (hydrate && candidate.state.sequence > 0) {
-    // Eager hydration: load + CRC-verify the entry log now, so a rotted
-    // LEDG payload rejects this candidate instead of failing later.
-    NIMBUS_ASSIGN_OR_RETURN(candidate.base_entries,
-                            snapshot::ReadEntries(snapshot_file));
-  }
+  NIMBUS_RETURN_IF_ERROR(ReadTail(journal_path, brokers, candidate));
   return candidate;
 }
 
@@ -407,41 +311,6 @@ Status Marketplace::EnableJournal(const std::string& path,
   return ledger_.AttachJournal(std::make_unique<Journal>(std::move(journal)));
 }
 
-Status Marketplace::RestoreFromJournal(const std::string& path,
-                                       Journal::Options options) {
-  if (ledger_.size() != 0) {
-    return FailedPreconditionError(
-        "restore requires a fresh marketplace (ledger already has " +
-        std::to_string(ledger_.size()) + " sales)");
-  }
-  RecoveringGuard recovering(recovering_);
-  NIMBUS_ASSIGN_OR_RETURN(Ledger recovered, Ledger::Recover(path));
-  // Replay the audit trail into the per-offering monitors and broker
-  // revenue counters so the restarted process reports the same totals
-  // and collusion assessments as the one that crashed.
-  for (const LedgerEntry& entry : recovered.entries()) {
-    auto monitor = monitors_.find(entry.model);
-    if (monitor == monitors_.end()) {
-      return FailedPreconditionError(
-          "journal records a sale of model '" +
-          std::string(ml::ModelKindToString(entry.model)) +
-          "' which is not offered by this marketplace");
-    }
-    NIMBUS_RETURN_IF_ERROR(monitor->second.RecordPurchase(
-        entry.buyer_id, entry.inverse_ncp, entry.price));
-    Broker::Purchase sale;
-    sale.price = entry.price;
-    sale.inverse_ncp = entry.inverse_ncp;
-    sale.ncp = 1.0 / entry.inverse_ncp;
-    sale.expected_error = entry.expected_error;
-    brokers_.at(entry.model).RecordSale(sale);
-  }
-  ledger_ = std::move(recovered);
-  // Re-attach for future appends: Recover already truncated any torn
-  // tail, so new records extend the valid prefix.
-  return EnableJournal(path, options);
-}
-
 Status Marketplace::EnableCheckpoints(CheckpointPolicy policy) {
   if (!ledger_.journaling()) {
     return FailedPreconditionError(
@@ -462,12 +331,10 @@ StatusOr<Checkpointer::Stats> Marketplace::CheckpointStats() const {
   return checkpointer_->stats();
 }
 
-StatusOr<snapshot::State> Marketplace::CaptureSnapshotState() {
-  // A hydration-deferred ledger must load its covered rows before they
-  // can be re-serialized into the next snapshot's LEDG section.
-  NIMBUS_RETURN_IF_ERROR(ledger_.Hydrate());
+snapshot::State Marketplace::CaptureSnapshotState() const {
   snapshot::State state;
   state.sequence = ledger_.size();
+  state.fingerprint = ledger_.fingerprint_;
   state.total_revenue = ledger_.total_revenue_;
   state.spend_by_buyer = ledger_.spend_by_buyer_;
   state.sales_per_price_point = ledger_.sales_per_price_point_;
@@ -493,8 +360,6 @@ StatusOr<snapshot::State> Marketplace::CaptureSnapshotState() {
     broker_state.sales_count = broker.sales_count();
     broker_state.revenue_collected = broker.revenue_collected();
   }
-  state.entries = ledger_.entries();
-  state.entries_loaded = true;
   return state;
 }
 
@@ -502,8 +367,7 @@ StatusOr<int64_t> Marketplace::CheckpointNow() {
   if (checkpointer_ == nullptr) {
     return FailedPreconditionError("checkpoints are not enabled");
   }
-  NIMBUS_ASSIGN_OR_RETURN(snapshot::State state, CaptureSnapshotState());
-  return checkpointer_->Commit(std::move(state), ledger_.journal());
+  return checkpointer_->Commit(CaptureSnapshotState(), ledger_.journal());
 }
 
 Status Marketplace::MaybeCheckpoint() {
@@ -544,33 +408,19 @@ Status Marketplace::RestoreFromCheckpoint(const std::string& path,
   RecoveryRestoresCounter().Increment();
 
   // Applies a fully validated candidate. All checkable failure modes
-  // were rejected by BuildCandidate, so a failure here is an internal
+  // were rejected while building it, so a failure here is an internal
   // inconsistency and aborts the restore rather than trying a deeper
   // rung against half-mutated monitors/brokers.
-  const auto apply = [&](RestoreCandidate candidate,
-                         const std::string& snapshot_file) -> Status {
-    Ledger::EntryLoader loader;
-    if (candidate.state.sequence > 0) {
-      if (options.hydrate) {
-        auto rows = std::make_shared<std::vector<LedgerEntry>>(
-            std::move(candidate.base_entries));
-        loader = [rows]() -> StatusOr<std::vector<LedgerEntry>> {
-          return std::move(*rows);
-        };
-      } else {
-        loader = [snapshot_file]() {
-          return snapshot::ReadEntries(snapshot_file);
-        };
-      }
-    }
+  const auto apply = [&](RestoreCandidate candidate) -> Status {
     NIMBUS_ASSIGN_OR_RETURN(
         Ledger restored,
         Ledger::FromRecoveredState(
-            candidate.state.sequence, candidate.state.total_revenue,
+            candidate.state.sequence, candidate.state.fingerprint,
+            candidate.state.total_revenue,
             std::move(candidate.state.spend_by_buyer),
             std::move(candidate.state.sales_per_price_point),
             std::move(candidate.state.revenue_by_model),
-            std::move(candidate.state.sales_by_model), std::move(loader)));
+            std::move(candidate.state.sales_by_model)));
     for (const auto& [kind, monitor_state] : candidate.state.monitors) {
       CollusionMonitor& monitor = monitors_.at(kind);
       for (const auto& [buyer, history] : monitor_state.buyers) {
@@ -586,8 +436,8 @@ Status Marketplace::RestoreFromCheckpoint(const std::string& path,
       NIMBUS_RETURN_IF_ERROR(brokers_.at(kind).RestoreSaleCounters(
           broker_state.sales_count, broker_state.revenue_collected));
     }
+    NIMBUS_RETURN_IF_ERROR(restored.ApplyRecovered(candidate.tail));
     for (const LedgerEntry& entry : candidate.tail) {
-      NIMBUS_RETURN_IF_ERROR(restored.ApplyRecovered(entry));
       NIMBUS_RETURN_IF_ERROR(monitors_.at(entry.model).RecordPurchase(
           entry.buyer_id, entry.inverse_ncp, entry.price));
       Broker::Purchase sale;
@@ -597,19 +447,13 @@ Status Marketplace::RestoreFromCheckpoint(const std::string& path,
       sale.expected_error = entry.expected_error;
       brokers_.at(entry.model).RecordSale(sale);
     }
-    if (options.hydrate) {
-      NIMBUS_RETURN_IF_ERROR(restored.Hydrate());
-    }
     report.snapshot_records = candidate.state.sequence;
     report.tail_records = static_cast<int64_t>(candidate.tail.size());
     ledger_ = std::move(restored);
-    return OkStatus();
-  };
-
-  const auto attach = [&]() -> Status {
-    // Heal-and-reopen: a torn live tail was truncated while collecting
-    // the tail; a live segment lost in Rotate's rename window is
-    // recreated here with the restored sequence as its base.
+    RecoveryTailRecordsCounter().Increment(report.tail_records);
+    // Heal-and-reopen: ReadChain truncated a torn live tail; a live
+    // segment lost in Rotate's rename window is recreated here with the
+    // restored sequence as its base.
     Journal::Options journal_options = options.journal;
     journal_options.create_base_sequence = ledger_.size();
     return EnableJournal(path, journal_options);
@@ -620,14 +464,12 @@ Status Marketplace::RestoreFromCheckpoint(const std::string& path,
     const int64_t generation = generations[i];
     const std::string snapshot_file = snapshot::SnapshotPath(path, generation);
     StatusOr<RestoreCandidate> candidate =
-        BuildCandidate(snapshot_file, path, options.hydrate, brokers_);
+        BuildCandidate(snapshot_file, path, brokers_);
     if (candidate.ok()) {
-      NIMBUS_RETURN_IF_ERROR(apply(std::move(*candidate), snapshot_file));
       report.source = i == 0 ? RestoreReport::Source::kSnapshot
                              : RestoreReport::Source::kPreviousSnapshot;
       report.generation = generation;
-      RecoveryTailRecordsCounter().Increment(report.tail_records);
-      return attach();
+      return apply(*std::move(candidate));
     }
     NIMBUS_LOG(kWarning) << "recovery: snapshot generation " << generation
                          << " (" << snapshot_file << ") rejected: "
@@ -637,36 +479,18 @@ Status Marketplace::RestoreFromCheckpoint(const std::string& path,
     RecoverySnapshotsRejectedCounter().Increment();
   }
 
-  // Last rung: no usable snapshot — replay the whole journal chain.
-  if (!FileExists(path) && !FileExists(path + ".prev")) {
+  // Last rung: no usable snapshot — replay the whole journal chain onto
+  // the empty state.
+  RestoreCandidate replay;
+  const Status read = ReadTail(path, brokers_, replay);
+  if (read.code() == StatusCode::kNotFound) {
     return NotFoundError("no usable snapshot and no journal at '" + path +
                          "'");
   }
-  NIMBUS_ASSIGN_OR_RETURN(std::vector<LedgerEntry> entries,
-                          CollectTailEntries(path, 0));
-  for (size_t i = 0; i < entries.size(); ++i) {
-    NIMBUS_RETURN_IF_ERROR(
-        ValidateTailEntry(entries[i], static_cast<int64_t>(i)));
-    NIMBUS_RETURN_IF_ERROR(
-        CheckOffered(brokers_, entries[i].model, "journal"));
-  }
-  NIMBUS_ASSIGN_OR_RETURN(Ledger replayed, Ledger::FromEntries(entries));
-  for (const LedgerEntry& entry : entries) {
-    NIMBUS_RETURN_IF_ERROR(monitors_.at(entry.model).RecordPurchase(
-        entry.buyer_id, entry.inverse_ncp, entry.price));
-    Broker::Purchase sale;
-    sale.price = entry.price;
-    sale.inverse_ncp = entry.inverse_ncp;
-    sale.ncp = 1.0 / entry.inverse_ncp;
-    sale.expected_error = entry.expected_error;
-    brokers_.at(entry.model).RecordSale(sale);
-  }
-  ledger_ = std::move(replayed);
+  NIMBUS_RETURN_IF_ERROR(read);
   report.source = RestoreReport::Source::kFullReplay;
-  report.tail_records = static_cast<int64_t>(entries.size());
   RecoveryFullReplaysCounter().Increment();
-  RecoveryTailRecordsCounter().Increment(report.tail_records);
-  return attach();
+  return apply(std::move(replay));
 }
 
 StatusOr<const CollusionMonitor*> Marketplace::MonitorFor(

@@ -101,11 +101,6 @@ class Marketplace {
   const Ledger& ledger() const { return ledger_; }
   double total_revenue() const { return ledger_.TotalRevenue(); }
 
-  // Loads the entry rows a deferred-hydration restore left behind the
-  // snapshot loader (no-op on a hydrated ledger). Row-level audit
-  // queries (ledger().entries(), ToCsv) require this first.
-  Status HydrateLedger() { return ledger_.Hydrate(); }
-
   // ----- Durability & crash recovery -------------------------------------
   // Attaches a write-ahead journal at `path` (created when absent) so
   // every sale is durable before it is acknowledged. Attach before the
@@ -113,19 +108,7 @@ class Marketplace {
   Status EnableJournal(const std::string& path,
                        Journal::Options options = Journal::Options{});
 
-  // Restores the marketplace's transactional state from a journal
-  // written by a previous process: replays the longest valid record
-  // prefix into the ledger (truncating a torn tail), rebuilds every
-  // offering's collusion-monitor history and broker revenue/sales
-  // counters, and re-attaches the journal so new sales append after the
-  // recovered prefix. Must be called after the same AddOffering sequence
-  // as the crashed process and before any sale; the restored
-  // TotalRevenue, sequence numbers, SalesPerPricePoint, and monitor
-  // assessments are bit-identical to the pre-crash marketplace.
-  Status RestoreFromJournal(const std::string& path,
-                            Journal::Options options = Journal::Options{});
-
-  // ----- Checkpointing (snapshot + journal compaction) -------------------
+  // ----- Checkpointing (snapshot + segment sealing) ----------------------
   // Turns on checkpointing for the attached journal (EnableJournal /
   // RestoreFromCheckpoint must have run first). Resumes generation
   // numbering from the on-disk manifest. After this, commits trigger
@@ -137,9 +120,9 @@ class Marketplace {
   // checkpointing is off.
   StatusOr<Checkpointer::Stats> CheckpointStats() const;
 
-  // Captures the full transactional state (hydrating the ledger's entry
-  // log first if this marketplace was restored with deferred hydration).
-  StatusOr<snapshot::State> CaptureSnapshotState();
+  // Captures the transactional state a snapshot holds: aggregates,
+  // sequence, fingerprint, monitor histories and broker counters.
+  snapshot::State CaptureSnapshotState() const;
 
   // Takes a checkpoint unconditionally (subject to the checkpointer's
   // no-op-when-unchanged rule) and returns the committed generation.
@@ -156,26 +139,24 @@ class Marketplace {
   // Restores from the newest VALID snapshot generation plus the journal
   // tail past it — O(delta) in the records since that snapshot, not in
   // total history. The recovery ladder: for each generation, newest
-  // first, structurally validate the snapshot (footer + per-section
-  // CRCs), collect the journal tail [snapshot.sequence, end) from the
-  // live segment (and the `.prev` segment left by a rotation crash
-  // window), and verify the tail is gap-free; the first generation that
-  // passes is applied — aggregates and monitor/broker counters install
-  // directly from the snapshot, only the tail replays through the
-  // ledger. A torn or corrupt snapshot falls back to the previous
-  // generation, and when no generation is usable, to a full journal
-  // replay (RestoreFromJournal semantics) — never silent data loss.
-  // Preconditions match RestoreFromJournal: same AddOffering sequence as
-  // the crashed process, no sales yet. Re-attaches the journal (healing
-  // a torn tail, recreating a segment lost in the rotation crash
-  // window) so new sales append after the recovered prefix.
+  // first, validate the snapshot (footer + per-section CRCs), read the
+  // journal chain from the snapshot's sequence (Journal::ReadChain:
+  // dense, CRC-checked, torn live tail truncated); the first generation
+  // that passes is applied — aggregates and monitor/broker counters
+  // install directly from the snapshot, only the tail replays through
+  // the ledger. A torn or corrupt snapshot falls back to the previous
+  // generation (whose tail spans sealed segments), and when no
+  // generation is usable, to a full replay of the chain from sequence 0
+  // — never silent data loss. A journal sale of a model this
+  // marketplace does not offer is kFailedPrecondition. Preconditions:
+  // same AddOffering sequence as the crashed process, no sales yet
+  // (kFailedPrecondition otherwise); kNotFound when there is neither a
+  // snapshot nor a journal. Re-attaches the journal (healing a torn
+  // tail, recreating a live segment lost in the rotation crash window)
+  // so new sales append after the recovered prefix.
   struct RestoreOptions {
     // Applied when re-attaching the journal after restore.
     Journal::Options journal;
-    // Load + CRC-verify the snapshot's full entry log during restore
-    // (audit queries need it). Off = defer hydration: restore stays
-    // O(delta) and the entry log loads on first Hydrate()/entries() use.
-    bool hydrate = true;
   };
   struct RestoreReport {
     enum class Source {
@@ -198,9 +179,9 @@ class Marketplace {
     return RestoreFromCheckpoint(path, RestoreOptions{});
   }
 
-  // True while RestoreFromCheckpoint/RestoreFromJournal is rebuilding
-  // state. The serving layer's health checks report "recovering" (not
-  // healthy) until restore completes.
+  // True while RestoreFromCheckpoint is rebuilding state. The serving
+  // layer's health checks report "recovering" (not healthy) until
+  // restore completes.
   bool recovering() const {
     return recovering_ != nullptr &&
            recovering_->load(std::memory_order_acquire);

@@ -8,7 +8,7 @@
 namespace nimbus::market {
 
 StatusOr<std::vector<revenue::BuyerPoint>> EstimateResearchFromLedger(
-    const Ledger& ledger, ml::ModelKind model,
+    const std::vector<LedgerEntry>& sales, ml::ModelKind model,
     const std::vector<double>& versions) {
   if (versions.empty()) {
     return InvalidArgumentError("need at least one version grid point");
@@ -25,7 +25,7 @@ StatusOr<std::vector<revenue::BuyerPoint>> EstimateResearchFromLedger(
   std::vector<double> counts(n, 0.0);
   std::vector<double> max_paid(n, 0.0);
   int transactions = 0;
-  for (const LedgerEntry& entry : ledger.entries()) {
+  for (const LedgerEntry& entry : sales) {
     if (entry.model != model) {
       continue;
     }

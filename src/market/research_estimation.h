@@ -11,8 +11,9 @@ namespace nimbus::market {
 
 // Estimates market research (demand and value curves) from observed
 // transactions, closing the loop of Figure 1: instead of assuming the
-// seller knows the curves, infer them from the ledger and re-run the
-// revenue optimization. Estimates are conservative:
+// seller knows the curves, infer them from the sales and re-run the
+// revenue optimization. `sales` are ledger rows — kept by the caller,
+// or read back off the journal chain (Journal::ReadChain). Estimates are conservative:
 //   * demand mass b_j = share of the model's transactions whose version
 //     is nearest to grid point a_j (plus-one smoothing so unsold
 //     versions keep a sliver of mass);
@@ -23,10 +24,10 @@ namespace nimbus::market {
 //     the DP precondition.
 //
 // `versions` is the strictly increasing grid of inverse NCPs to estimate
-// at (typically the versions actually offered). Fails when the ledger
+// at (typically the versions actually offered). Fails when `sales`
 // has no transactions for `model`.
 StatusOr<std::vector<revenue::BuyerPoint>> EstimateResearchFromLedger(
-    const Ledger& ledger, ml::ModelKind model,
+    const std::vector<LedgerEntry>& sales, ml::ModelKind model,
     const std::vector<double>& versions);
 
 }  // namespace nimbus::market

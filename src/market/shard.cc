@@ -174,10 +174,12 @@ StatusOr<Marketplace> Shard::BuildAndRestore(Marketplace::RestoreReport* report,
     return built.status();
   }
   Marketplace market = *std::move(built);
-  if (FileExists(journal_path_)) {
+  // Any segment of the chain means durable history: a crash inside
+  // Rotate's rename window leaves sealed segments but no live one.
+  if (FileExists(journal_path_) ||
+      !Journal::SealedSegments(journal_path_).empty()) {
     Marketplace::RestoreOptions restore;
     restore.journal = options_.journal;
-    restore.hydrate = options_.hydrate_on_restore;
     NIMBUS_RETURN_IF_ERROR(
         market.RestoreFromCheckpoint(journal_path_, restore, report));
   } else {

@@ -44,18 +44,16 @@ const char* ShardStateName(ShardState state);
 using MarketplaceFactory = std::function<StatusOr<Marketplace>()>;
 
 struct ShardOptions {
-  // Per-shard directory; the write-ahead journal lives at
-  // `<dir>/journal` and the snapshot chain beside it
-  // (`journal.snap.NNNNNN`, `journal.manifest`, `journal.prev`).
+  // Per-shard directory; the live journal segment lives at
+  // `<dir>/journal`, with its sealed segments (`journal.seg.N...`) and
+  // the snapshot chain (`journal.snap.NNNNNN`, `journal.manifest`)
+  // beside it.
   std::string dir;
   Journal::Options journal;
   // Checkpointing (off by default — pure-journal shards still recover,
   // via full replay).
   bool enable_checkpoints = false;
   CheckpointPolicy checkpoint_policy;
-  // Load the full entry log during restore (see
-  // Marketplace::RestoreOptions::hydrate).
-  bool hydrate_on_restore = true;
 };
 
 // One fault-isolated product shard: a Marketplace plus its durable

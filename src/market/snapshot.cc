@@ -21,7 +21,7 @@ namespace {
 
 constexpr char kMagic[8] = {'N', 'I', 'M', 'B', 'U', 'S', 'S', '1'};
 constexpr char kManifestMagic[] = "NIMBUSM1";
-constexpr uint32_t kFormatVersion = 1;
+constexpr uint32_t kFormatVersion = 2;
 constexpr size_t kSectionHeaderBytes = 20;  // tag + flags + len + crc.
 
 constexpr uint32_t FourCc(char a, char b, char c, char d) {
@@ -35,13 +35,11 @@ constexpr uint32_t kTagMeta = FourCc('M', 'E', 'T', 'A');
 constexpr uint32_t kTagAggr = FourCc('A', 'G', 'G', 'R');
 constexpr uint32_t kTagColl = FourCc('C', 'O', 'L', 'L');
 constexpr uint32_t kTagBrkr = FourCc('B', 'R', 'K', 'R');
-constexpr uint32_t kTagLedg = FourCc('L', 'E', 'D', 'G');
 constexpr uint32_t kTagFoot = FourCc('F', 'O', 'O', 'T');
 
 // The body sections, in required file order (FOOT follows, indexing
 // exactly these).
-constexpr uint32_t kBodyTags[] = {kTagMeta, kTagAggr, kTagColl, kTagBrkr,
-                                  kTagLedg};
+constexpr uint32_t kBodyTags[] = {kTagMeta, kTagAggr, kTagColl, kTagBrkr};
 constexpr size_t kBodySections = sizeof(kBodyTags) / sizeof(kBodyTags[0]);
 
 void AppendRaw(std::string& out, const void* data, size_t size) {
@@ -101,6 +99,7 @@ std::string EncodeMeta(const State& state) {
   AppendScalar(out, kFormatVersion);
   AppendScalar(out, state.generation);
   AppendScalar(out, state.sequence);
+  AppendScalar(out, state.fingerprint);
   return out;
 }
 
@@ -111,6 +110,7 @@ Status DecodeMeta(const std::string& path, const std::string& payload,
   if (!ReadScalar(payload, offset, &version) ||
       !ReadScalar(payload, offset, &state->generation) ||
       !ReadScalar(payload, offset, &state->sequence) ||
+      !ReadScalar(payload, offset, &state->fingerprint) ||
       offset != payload.size()) {
     return CorruptError(path, "undecodable META section");
   }
@@ -298,51 +298,6 @@ Status DecodeBrkr(const std::string& path, const std::string& payload,
   return OkStatus();
 }
 
-std::string EncodeLedg(const State& state) {
-  std::string out;
-  AppendScalar(out, static_cast<int64_t>(state.entries.size()));
-  for (const LedgerEntry& entry : state.entries) {
-    const std::string payload = Journal::EncodePayload(entry);
-    AppendString(out, payload);
-  }
-  return out;
-}
-
-StatusOr<std::vector<LedgerEntry>> DecodeLedg(const std::string& path,
-                                              const std::string& payload) {
-  size_t offset = 0;
-  int64_t count = 0;
-  if (!ReadScalar(payload, offset, &count) || count < 0) {
-    return CorruptError(path, "undecodable LEDG section");
-  }
-  // Every record carries at least its uint32 length prefix, so a count
-  // the remaining payload cannot hold is corrupt — reject it before it
-  // sizes an allocation.
-  if (static_cast<uint64_t>(count) >
-      (payload.size() - offset) / sizeof(uint32_t)) {
-    return CorruptError(path, "LEDG record count " + std::to_string(count) +
-                                  " exceeds the section payload");
-  }
-  std::vector<LedgerEntry> entries;
-  entries.reserve(static_cast<size_t>(count));
-  for (int64_t i = 0; i < count; ++i) {
-    std::string record;
-    if (!ReadString(payload, offset, &record)) {
-      return CorruptError(path, "truncated LEDG record " + std::to_string(i));
-    }
-    StatusOr<LedgerEntry> entry = Journal::DecodePayload(record);
-    if (!entry.ok()) {
-      return CorruptError(path, "undecodable LEDG record " + std::to_string(i) +
-                                    ": " + entry.status().message());
-    }
-    entries.push_back(*std::move(entry));
-  }
-  if (offset != payload.size()) {
-    return CorruptError(path, "trailing bytes in LEDG section");
-  }
-  return entries;
-}
-
 // ----- File plumbing -------------------------------------------------------
 
 struct SectionHeader {
@@ -494,9 +449,6 @@ StatusOr<int64_t> Write(const std::string& path, const State& state) {
       case kTagBrkr:
         payload = EncodeBrkr(state);
         break;
-      case kTagLedg:
-        payload = EncodeLedg(state);
-        break;
     }
     AppendScalar(footer, tag);
     AppendScalar(footer, static_cast<uint64_t>(image.size()));
@@ -509,7 +461,7 @@ StatusOr<int64_t> Write(const std::string& path, const State& state) {
   return static_cast<int64_t>(image.size());
 }
 
-StatusOr<State> Read(const std::string& path, ReadOptions options) {
+StatusOr<State> Read(const std::string& path) {
   NIMBUS_ASSIGN_OR_RETURN(const std::string bytes, ReadFileBytes(path));
   if (bytes.size() < sizeof(kMagic) ||
       std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
@@ -524,7 +476,6 @@ StatusOr<State> Read(const std::string& path, ReadOptions options) {
     SectionHeader header;
   };
   Observed observed[kBodySections];
-  std::string ledg_payload;
   bool saw_footer = false;
   while (offset < bytes.size()) {
     const uint64_t section_offset = offset;
@@ -594,14 +545,6 @@ StatusOr<State> Read(const std::string& path, ReadOptions options) {
       return CorruptError(path, "unexpected section order");
     }
     observed[body_index] = Observed{section_offset, header};
-    // The LEDG payload is skipped (not CRC'd) on a shallow read: the
-    // footer cross-check above still proves the header uncorrupted and
-    // the payload fully present, and hydration re-verifies the CRC.
-    if (header.tag == kTagLedg && !options.load_entries) {
-      offset += static_cast<size_t>(header.payload_len);
-      ++body_index;
-      continue;
-    }
     const std::string payload =
         bytes.substr(offset, static_cast<size_t>(header.payload_len));
     offset += static_cast<size_t>(header.payload_len);
@@ -622,29 +565,13 @@ StatusOr<State> Read(const std::string& path, ReadOptions options) {
       case kTagBrkr:
         NIMBUS_RETURN_IF_ERROR(DecodeBrkr(path, payload, &state));
         break;
-      case kTagLedg:
-        ledg_payload = payload;
-        break;
     }
     ++body_index;
   }
   if (!saw_footer || offset != bytes.size()) {
     return CorruptError(path, "truncated snapshot (no footer)");
   }
-  if (options.load_entries) {
-    NIMBUS_ASSIGN_OR_RETURN(state.entries, DecodeLedg(path, ledg_payload));
-    if (static_cast<int64_t>(state.entries.size()) != state.sequence) {
-      return CorruptError(
-          path, "LEDG entry count disagrees with META sequence");
-    }
-    state.entries_loaded = true;
-  }
   return state;
-}
-
-StatusOr<std::vector<LedgerEntry>> ReadEntries(const std::string& path) {
-  NIMBUS_ASSIGN_OR_RETURN(State state, Read(path, {.load_entries = true}));
-  return std::move(state.entries);
 }
 
 Status WriteManifest(const std::string& journal_path, const Manifest& m) {

@@ -6,8 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/statusor.h"
-#include "market/ledger.h"
 #include "ml/model.h"
 
 namespace nimbus::market::snapshot {
@@ -16,21 +16,21 @@ namespace nimbus::market::snapshot {
 // state — the checkpoint half of the snapshot + journal-tail recovery
 // scheme (market/checkpointer.h drives when snapshots are taken).
 //
-// A snapshot file is the 8-byte magic "NIMBUSS1" followed by sections:
+// A snapshot holds aggregates, the sequence it covers and the ledger's
+// fingerprint — never ledger rows, which live only in the journal chain
+// (market/journal.h). A file is the 8-byte magic "NIMBUSS1" followed by
+// sections:
 //
 //   u32 tag | u32 flags | u64 payload_len | u32 crc32(payload) | payload
 //
-// in fixed order META, AGGR, COLL, BRKR, LEDG, FOOT. The FOOT section is
-// a table of (tag, offset, len, crc) for every preceding section, so a
-// reader can structurally validate the whole file — including the large
-// LEDG entry log — by walking headers and cross-checking the footer
-// without touching the LEDG payload. That makes validation (and a
-// deferred-hydration restore) O(sections), not O(history): recovery time
-// depends only on the journal tail, never on total sales ever recorded.
-// Any truncation, bit flip in a section header, or CRC mismatch on a
-// loaded payload makes the snapshot invalid as a whole; readers then
+// in fixed order META, AGGR, COLL, BRKR, FOOT (format version 2, stamped
+// in META). The FOOT section is a table of (tag, offset, len, crc) for
+// every preceding section, cross-checked against the headers actually
+// read. Read CRC-checks every section, so any truncation, bit flip or
+// footer mismatch makes the snapshot invalid as a whole; readers then
 // fall back to the previous generation (see Marketplace::
-// RestoreFromCheckpoint's recovery ladder).
+// RestoreFromCheckpoint's recovery ladder). A snapshot's size depends on
+// the number of buyers and price points, not on the number of sales.
 //
 // Files are written via temp file + fsync + atomic rename, so a crash
 // mid-checkpoint leaves at worst a torn `.tmp` that no reader ever
@@ -58,13 +58,16 @@ struct BrokerState {
   double revenue_collected = 0.0;
 };
 
-// Everything a marketplace needs to resume revenue accounting, audit
-// queries, and collusion assessments without replaying full history.
+// Everything a marketplace needs to resume revenue accounting and
+// collusion assessments without replaying full history.
 // All doubles are serialized as raw 8-byte images so a restore is
 // bit-identical, matching the journal's determinism contract.
 struct State {
   int64_t generation = 0;  // Assigned by the checkpointer.
   int64_t sequence = 0;    // Entries covered: ledger rows [0, sequence).
+  // Ledger::Fingerprint() after those rows (the empty-ledger value for
+  // none).
+  uint64_t fingerprint = kFnv64OffsetBasis;
   // Ledger aggregates (accumulated in commit order, so restored query
   // results match the uncrashed process bit for bit).
   double total_revenue = 0.0;
@@ -75,29 +78,13 @@ struct State {
   // Per-offering collusion-monitor histories and broker counters.
   std::map<ml::ModelKind, MonitorState> monitors;
   std::map<ml::ModelKind, BrokerState> brokers;
-  // Full entry log (LEDG section). Loaded only under
-  // ReadOptions::load_entries; `entries_loaded` distinguishes a shallow
-  // read from a snapshot that genuinely covers zero entries.
-  std::vector<LedgerEntry> entries;
-  bool entries_loaded = false;
-};
-
-struct ReadOptions {
-  // Load and CRC-verify the LEDG payload (full entry hydration). Off by
-  // default: the shallow read still structurally validates LEDG via the
-  // footer, which is what keeps restore O(delta).
-  bool load_entries = false;
 };
 
 // Reads and validates a snapshot. Every failure mode — missing file,
 // truncation at any byte offset, flipped CRC or header field, footer
 // mismatch — returns a non-OK Status; a Status is never OK for a file
 // that could mis-restore. Fault points: `io.read`.
-StatusOr<State> Read(const std::string& path, ReadOptions options = {});
-
-// Loads just the entry log of an already-validated snapshot (deferred
-// hydration). CRC-verifies the LEDG payload before decoding.
-StatusOr<std::vector<LedgerEntry>> ReadEntries(const std::string& path);
+StatusOr<State> Read(const std::string& path);
 
 // Serializes `state` and commits it atomically: write to `path + ".tmp"`,
 // fsync, rename over `path`, fsync the parent directory. Returns the

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/fault.h"
+#include "common/hash.h"
 #include "common/logging.h"
 #include "common/telemetry.h"
 
@@ -81,17 +82,6 @@ uint64_t StreamId(int64_t ticket, uint64_t purpose) {
   return static_cast<uint64_t>(ticket) * kStreamsPerTicket + purpose;
 }
 
-// FNV-1a — folds a product id into the master seed so each shard lane
-// draws from its own stream family.
-uint64_t Fnv64(const std::string& key) {
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : key) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 }  // namespace
 
 MarketService::MarketService(market::Catalog* catalog, ServiceOptions options)
@@ -116,7 +106,7 @@ MarketService::MarketService(market::Catalog* catalog, ServiceOptions options)
     lane->index = static_cast<int>(lanes_.size());
     lane->product_id = shard->product_id();
     lane->shard = shard.get();
-    lane->seed = options_.seed ^ Fnv64(lane->product_id);
+    lane->seed = options_.seed ^ Fnv1a64(lane->product_id, kSeedMixBasis);
     lane->base_rng = Rng(lane->seed);
     const std::string suffix = "@" + lane->product_id;
     lane->quote_breaker =

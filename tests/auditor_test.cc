@@ -18,6 +18,7 @@
 #include "market/market_simulator.h"
 #include "market/marketplace.h"
 #include "service/service.h"
+#include "ledger_books.h"
 #include "single_shard_catalog.h"
 
 namespace nimbus::market {
@@ -154,7 +155,8 @@ TEST_F(AuditorTest, CleanTrafficCertifiesEveryInvariant) {
 TEST_F(AuditorTest, BackgroundLoopAuditsWithoutPerturbingTheLedger) {
   // Two identical workloads — auditor running vs absent — must produce
   // byte-identical ledgers (the detection-only contract).
-  auto run = [](bool with_auditor, std::string* csv, Auditor::Status* status) {
+  auto run = [](bool with_auditor, testing::Books* books,
+                Auditor::Status* status) {
     SingleShardCatalog catalog("auditor_loop", [] { return MakeMarket(77); });
     AuditorOptions audit_options;
     audit_options.pass_interval_seconds = 0.001;
@@ -174,15 +176,14 @@ TEST_F(AuditorTest, BackgroundLoopAuditsWithoutPerturbingTheLedger) {
     EXPECT_FALSE(auditor.running());
     auditor.RunPass();  // Mop up anything the loop had not drained.
     *status = auditor.GetStatus();
-    ASSERT_TRUE(catalog.market().HydrateLedger().ok());
-    *csv = catalog.market().ledger().ToCsv();
+    *books = testing::BooksOf(catalog.market().ledger());
   };
-  std::string with_csv, without_csv;
+  testing::Books with_books, without_books;
   Auditor::Status with_status, without_status;
-  run(true, &with_csv, &with_status);
-  run(false, &without_csv, &without_status);
+  run(true, &with_books, &with_status);
+  run(false, &without_books, &without_status);
 
-  EXPECT_EQ(with_csv, without_csv);
+  EXPECT_EQ(with_books, without_books);
   EXPECT_EQ(with_status.violations, 0);
   EXPECT_EQ(with_status.commits_observed, 40);
   EXPECT_EQ(with_status.samples_audited, 40);
@@ -397,7 +398,7 @@ TEST_F(AuditorTest, ShardedTamperNamesTheOwningShardOnly) {
 }
 
 TEST_F(AuditorTest, SamplingIsDeterministicAcrossWorkerCounts) {
-  auto run = [](int workers, Auditor::Status* status, std::string* csv) {
+  auto run = [](int workers, Auditor::Status* status, testing::Books* books) {
     SingleShardCatalog catalog("auditor_sampling_" + std::to_string(workers),
                                [] { return MakeMarket(91); });
     AuditorOptions audit_options;
@@ -412,13 +413,12 @@ TEST_F(AuditorTest, SamplingIsDeterministicAcrossWorkerCounts) {
     EXPECT_TRUE(service.Drain().ok());
     auditor.RunPass();
     *status = auditor.GetStatus();
-    ASSERT_TRUE(catalog.market().HydrateLedger().ok());
-    *csv = catalog.market().ledger().ToCsv();
+    *books = testing::BooksOf(catalog.market().ledger());
   };
   Auditor::Status narrow, wide;
-  std::string narrow_csv, wide_csv;
-  run(1, &narrow, &narrow_csv);
-  run(4, &wide, &wide_csv);
+  testing::Books narrow_books, wide_books;
+  run(1, &narrow, &narrow_books);
+  run(4, &wide, &wide_books);
 
   // The sampled SET is a pure function of (seed, product, ticket), so
   // worker scheduling cannot change it — and the rate actually bites.
@@ -429,7 +429,7 @@ TEST_F(AuditorTest, SamplingIsDeterministicAcrossWorkerCounts) {
   EXPECT_LT(narrow.samples_audited, 80);
   EXPECT_EQ(narrow.violations, 0);
   EXPECT_EQ(wide.violations, 0);
-  EXPECT_EQ(narrow_csv, wide_csv);
+  EXPECT_EQ(narrow_books, wide_books);
 }
 
 TEST_F(AuditorTest, ToJsonCarriesVerdictsAndFirstFailureTimestamp) {

@@ -19,6 +19,7 @@
 #include "market/marketplace.h"
 #include "market/snapshot.h"
 #include "service/service.h"
+#include "ledger_books.h"
 #include "single_shard_catalog.h"
 
 namespace nimbus::market {
@@ -30,7 +31,10 @@ std::string TempPath(const std::string& name) {
 
 void RemoveCheckpointFiles(const std::string& journal_path) {
   std::remove(journal_path.c_str());
-  std::remove((journal_path + ".prev").c_str());
+  for (const Journal::SegmentFile& segment :
+       Journal::SealedSegments(journal_path)) {
+    std::remove(segment.path.c_str());
+  }
   std::remove(snapshot::ManifestPath(journal_path).c_str());
   for (int64_t generation = 1; generation <= 64; ++generation) {
     std::remove(snapshot::SnapshotPath(journal_path, generation).c_str());
@@ -127,18 +131,24 @@ TEST_F(CheckpointerTest, RecordCadenceCheckpointsAndRotatesDuringTrading) {
   EXPECT_EQ(stats->last_sequence, 6);
   EXPECT_EQ(stats->prev_sequence, 3);
 
-  // The live journal was rotated down to the PREVIOUS checkpoint's
-  // sequence, so it still serves the fallback rung's tail.
+  // Each checkpoint sealed the live segment at its own sequence: the
+  // live segment holds only the record past generation 2, and the
+  // sealed segments [0,3) and [3,6) hold the rest of the history.
   ASSERT_TRUE(market.FlushJournal().ok());
   Journal::RecoveryReport report;
   StatusOr<std::vector<LedgerEntry>> live = Journal::Replay(path, &report);
   ASSERT_TRUE(live.ok());
-  EXPECT_EQ(report.base_sequence, 3);
-  EXPECT_EQ(live->front().sequence, 3);
-  EXPECT_EQ(live->back().sequence, 6);
+  EXPECT_EQ(report.base_sequence, 6);
+  ASSERT_EQ(live->size(), 1u);
+  EXPECT_EQ(live->front().sequence, 6);
+  const std::vector<Journal::SegmentFile> sealed =
+      Journal::SealedSegments(path);
+  ASSERT_EQ(sealed.size(), 2u);
+  EXPECT_EQ(sealed[0].base, 0);
+  EXPECT_EQ(sealed[1].base, 3);
 
   // A restart restores from generation 2 + the single tail record.
-  const std::string csv = market.ledger().ToCsv();
+  const testing::Books books = testing::BooksOf(market.ledger());
   Marketplace restored = MakeMarket(31);
   Marketplace::RestoreReport restore_report;
   ASSERT_TRUE(restored
@@ -149,7 +159,36 @@ TEST_F(CheckpointerTest, RecordCadenceCheckpointsAndRotatesDuringTrading) {
             Marketplace::RestoreReport::Source::kSnapshot);
   EXPECT_EQ(restore_report.snapshot_records, 6);
   EXPECT_EQ(restore_report.tail_records, 1);
-  EXPECT_EQ(restored.ledger().ToCsv(), csv);
+  EXPECT_EQ(testing::BooksOf(restored.ledger()), books);
+  RemoveCheckpointFiles(path);
+}
+
+// After many cadence checkpoints the sealed segments plus the live one
+// are still the whole history: read from sequence 0 they hold rows
+// 0..n-1, and their fingerprint is the live ledger's.
+TEST_F(CheckpointerTest, ChainAfterManyCheckpointsIsTheWholeHistory) {
+  const std::string path = TempPath("nimbus_ckpt_chain.waj");
+  RemoveCheckpointFiles(path);
+  Marketplace market = MakeMarket(37);
+  ASSERT_TRUE(market.EnableJournal(path).ok());
+  CheckpointPolicy policy;
+  policy.every_records = 3;
+  ASSERT_TRUE(market.EnableCheckpoints(policy).ok());
+  const int sales = 35;
+  for (int i = 0; i < sales; ++i) {
+    BuyOne(market, "buyer-" + std::to_string(i % 4), 2.0 + i % 5);
+  }
+  ASSERT_GE(market.CheckpointStats()->checkpoints, 10);
+  ASSERT_GE(Journal::SealedSegments(path).size(), 10u);
+  ASSERT_TRUE(market.FlushJournal().ok());
+
+  StatusOr<std::vector<LedgerEntry>> rows = Journal::ReadChain(path, 0);
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  ASSERT_EQ(rows->size(), static_cast<size_t>(sales));
+  for (int i = 0; i < sales; ++i) {
+    EXPECT_EQ((*rows)[i].sequence, i);
+  }
+  EXPECT_EQ(FingerprintRows(*rows), market.ledger().Fingerprint());
   RemoveCheckpointFiles(path);
 }
 
@@ -209,7 +248,8 @@ TEST_F(CheckpointerTest, SnapshotWriteFaultIsAbsorbedAndTradingContinues) {
                                          &report)
                   .ok());
   EXPECT_EQ(report.source, Marketplace::RestoreReport::Source::kSnapshot);
-  EXPECT_EQ(restored.ledger().ToCsv(), market.ledger().ToCsv());
+  EXPECT_EQ(testing::BooksOf(restored.ledger()),
+            testing::BooksOf(market.ledger()));
   RemoveCheckpointFiles(path);
 }
 
@@ -242,7 +282,8 @@ TEST_F(CheckpointerTest, RotationFaultDegradesToLongerReplayNotFailure) {
                   .ok());
   EXPECT_EQ(report.source, Marketplace::RestoreReport::Source::kSnapshot);
   EXPECT_EQ(report.generation, 2);
-  EXPECT_EQ(restored.ledger().ToCsv(), market.ledger().ToCsv());
+  EXPECT_EQ(testing::BooksOf(restored.ledger()),
+            testing::BooksOf(market.ledger()));
   RemoveCheckpointFiles(path);
 }
 
@@ -284,8 +325,8 @@ void RunRequests(service::MarketService& service, int n) {
 
 // Runs `n` requests through a MarketService over a fresh checkpointed
 // 1-shard catalog, drains, checks that the snapshot chain restores the
-// ledger bit-for-bit, and returns the final ledger CSV.
-std::string RunServiceWorkload(const std::string& name, int num_workers,
+// ledger bit-for-bit, and returns the final ledger books.
+testing::Books RunServiceWorkload(const std::string& name, int num_workers,
                                int n, int64_t every_records) {
   testing::SingleShardCatalog catalog(
       name, [] { return MakeMarket(35); }, CheckpointedShard(every_records));
@@ -297,7 +338,7 @@ std::string RunServiceWorkload(const std::string& name, int num_workers,
   RunRequests(service, n);
   EXPECT_TRUE(service.Drain().ok());
   EXPECT_GE(catalog.market().CheckpointStats()->checkpoints, 1);
-  const std::string csv = catalog.market().ledger().ToCsv();
+  const testing::Books books = testing::BooksOf(catalog.market().ledger());
 
   Marketplace restored = MakeMarket(35);
   Marketplace::RestoreReport report;
@@ -306,9 +347,9 @@ std::string RunServiceWorkload(const std::string& name, int num_workers,
                                          Marketplace::RestoreOptions{},
                                          &report)
                   .ok());
-  EXPECT_EQ(restored.ledger().ToCsv(), csv);
+  EXPECT_EQ(testing::BooksOf(restored.ledger()), books);
   EXPECT_GT(report.snapshot_records, 0);
-  return csv;
+  return books;
 }
 
 TEST_F(CheckpointerTest, CheckpointOnDrainLeavesFreshSnapshot) {
@@ -336,7 +377,8 @@ TEST_F(CheckpointerTest, CheckpointOnDrainLeavesFreshSnapshot) {
   EXPECT_EQ(report.source, Marketplace::RestoreReport::Source::kSnapshot);
   EXPECT_EQ(report.snapshot_records, 9);
   EXPECT_EQ(report.tail_records, 0);
-  EXPECT_EQ(restored.ledger().ToCsv(), catalog.market().ledger().ToCsv());
+  EXPECT_EQ(testing::BooksOf(restored.ledger()),
+            testing::BooksOf(catalog.market().ledger()));
 }
 
 TEST_F(CheckpointerTest, ConcurrentCheckpointWhileQuotingStaysDeterministic) {
@@ -345,9 +387,9 @@ TEST_F(CheckpointerTest, ConcurrentCheckpointWhileQuotingStaysDeterministic) {
   // and a crash-restart must restore it bit-for-bit (checked inside
   // RunServiceWorkload for both trees).
   const int n = 48;
-  const std::string csv_one = RunServiceWorkload("ckpt_tsan_w1", 1, n, 8);
-  const std::string csv_four = RunServiceWorkload("ckpt_tsan_w4", 4, n, 8);
-  EXPECT_EQ(csv_one, csv_four);
+  const testing::Books one = RunServiceWorkload("ckpt_tsan_w1", 1, n, 8);
+  const testing::Books four = RunServiceWorkload("ckpt_tsan_w4", 4, n, 8);
+  EXPECT_EQ(one, four);
 }
 
 }  // namespace

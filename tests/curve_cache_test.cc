@@ -20,6 +20,7 @@
 #include "market/marketplace.h"
 #include "mechanism/noise_mechanism.h"
 #include "service/service.h"
+#include "ledger_books.h"
 #include "single_shard_catalog.h"
 
 namespace nimbus::market {
@@ -431,9 +432,9 @@ constexpr uint64_t kLedgerSeed = 91;
 constexpr int kLedgerRequests = 120;
 
 // Serves kLedgerRequests through a 1-shard catalog with counted faults
-// armed and returns the drained ledger's CSV; `served` (optional)
+// armed and returns the drained ledger's books; `served` (optional)
 // receives the curve the service quoted from.
-std::string ServeLedger(int workers, int max_batch,
+testing::Books ServeLedger(int workers, int max_batch,
                         std::shared_ptr<const pricing::ErrorCurve>* served =
                             nullptr) {
   EXPECT_TRUE(fault::Configure(
@@ -474,7 +475,7 @@ std::string ServeLedger(int workers, int max_batch,
               1);
     *served = *broker->GetErrorCurve(loss);
   }
-  return catalog.market().ledger().ToCsv();
+  return testing::BooksOf(catalog.market().ledger());
 }
 
 TEST_F(CurveCacheLedgerTest, ServedCurveEqualsColdBuildBitForBit) {
@@ -504,8 +505,9 @@ TEST_F(CurveCacheLedgerTest, ServedCurveEqualsColdBuildBitForBit) {
 
 TEST_F(CurveCacheLedgerTest, LedgerBytesIdenticalAcrossWorkersAndBatching) {
   // Reference: one worker quoting request-at-a-time.
-  const std::string baseline = ServeLedger(/*workers=*/1, /*max_batch=*/1);
-  ASSERT_FALSE(baseline.empty());
+  const testing::Books baseline =
+      ServeLedger(/*workers=*/1, /*max_batch=*/1);
+  ASSERT_EQ(baseline.sales, kLedgerRequests);
   for (int workers : {1, 4, 8}) {
     EXPECT_EQ(ServeLedger(workers, /*max_batch=*/16), baseline)
         << "workers=" << workers;

@@ -21,6 +21,7 @@
 #include "market/ledger.h"
 #include "market/market_simulator.h"
 #include "market/marketplace.h"
+#include "ledger_books.h"
 
 namespace nimbus::market {
 namespace {
@@ -269,6 +270,62 @@ TEST(JournalTest, ImplausibleLengthIsCorruptNotAllocated) {
   std::remove(path.c_str());
 }
 
+// Marketplace fixtures for the restore drills: both SampleEntries models
+// are on offer.
+
+data::TrainTestSplit ClassificationSplit(uint64_t seed) {
+  Rng rng(seed);
+  data::ClassificationSpec spec;
+  spec.num_examples = 260;
+  spec.num_features = 4;
+  spec.positive_prob = 0.92;
+  data::Dataset all = data::GenerateClassification(spec, rng);
+  return data::Split(all, 0.75, rng);
+}
+
+Broker::Options FastOptions() {
+  Broker::Options options;
+  options.error_curve_points = 6;
+  options.samples_per_curve_point = 40;
+  options.min_inverse_ncp = 1.0;
+  options.max_inverse_ncp = 50.0;
+  return options;
+}
+
+std::shared_ptr<const pricing::PricingFunction> SomeMbpPricing() {
+  auto points = MakeBuyerPoints(ValueShape::kConcave, DemandShape::kUniform,
+                                10, 1.0, 50.0, 80.0, 2.0);
+  Seller seller = *Seller::Create(*points);
+  return *seller.NegotiatePricing();
+}
+
+Marketplace MakeMarket(uint64_t seed) {
+  Marketplace market(ClassificationSplit(seed), FastOptions());
+  EXPECT_TRUE(market
+                  .AddOffering(ml::ModelKind::kLogisticRegression, 0.01,
+                               SomeMbpPricing())
+                  .ok());
+  EXPECT_TRUE(
+      market.AddOffering(ml::ModelKind::kLinearSvm, 0.05, SomeMbpPricing())
+          .ok());
+  return market;
+}
+
+void RunSales(Marketplace& market) {
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(market
+                    .Buy("carol", ml::ModelKind::kLogisticRegression, 10.0,
+                         "zero_one")
+                    .ok());
+  }
+  ASSERT_TRUE(
+      market.Buy("dan,\"ltd\"", ml::ModelKind::kLinearSvm, 5.0, "zero_one")
+          .ok());
+  ASSERT_TRUE(
+      market.Buy("erin", ml::ModelKind::kLinearSvm, 25.0, "zero_one").ok());
+}
+
+// Full replay of a journal-only ledger restores it bit-identically.
 TEST(LedgerJournalTest, WriteThroughThenRecoverIsBitIdentical) {
   telemetry::Registry::Global().ResetForTest();
   const std::string path = TempPath("nimbus_ledger_journal.waj");
@@ -290,18 +347,25 @@ TEST(LedgerJournalTest, WriteThroughThenRecoverIsBitIdentical) {
   }
   ASSERT_TRUE(live.DetachJournal()->Close().ok());
 
-  StatusOr<Ledger> recovered = Ledger::Recover(path);
-  ASSERT_TRUE(recovered.ok()) << recovered.status();
-  EXPECT_EQ(recovered->size(), live.size());
-  EXPECT_EQ(recovered->TotalRevenue(), live.TotalRevenue());
-  EXPECT_EQ(recovered->SalesPerPricePoint(), live.SalesPerPricePoint());
-  EXPECT_EQ(recovered->TopBuyers(10), live.TopBuyers(10));
-  EXPECT_EQ(recovered->ToCsv(), live.ToCsv());
-  EXPECT_FALSE(recovered->journaling());
-  EXPECT_EQ(telemetry::Registry::Global()
-                .GetCounter("journal_recovered_records")
-                .Value(),
-            live.size());
+  Marketplace market = MakeMarket(7);
+  Marketplace::RestoreReport report;
+  ASSERT_TRUE(market
+                  .RestoreFromCheckpoint(path, Marketplace::RestoreOptions{},
+                                         &report)
+                  .ok());
+  EXPECT_EQ(report.source, Marketplace::RestoreReport::Source::kFullReplay);
+  const Ledger& recovered = market.ledger();
+  EXPECT_EQ(recovered.size(), live.size());
+  EXPECT_EQ(recovered.TotalRevenue(), live.TotalRevenue());
+  EXPECT_EQ(recovered.SalesPerPricePoint(), live.SalesPerPricePoint());
+  EXPECT_EQ(recovered.TopBuyers(10), live.TopBuyers(10));
+  EXPECT_EQ(testing::BooksOf(recovered), testing::BooksOf(live));
+  // The restore re-attaches the journal for new sales.
+  EXPECT_TRUE(recovered.journaling());
+  EXPECT_EQ(
+      telemetry::Registry::Global().GetCounter("recovery_tail_records").Value(),
+      live.size());
+  { Marketplace closed = std::move(market); }
   std::remove(path.c_str());
 }
 
@@ -329,91 +393,76 @@ TEST(LedgerJournalTest, FailedAppendLeavesLedgerUntouched) {
   ASSERT_TRUE(
       ledger.Record("bob", ml::ModelKind::kLinearSvm, 2.0, 10.0, 0.1).ok());
   ASSERT_TRUE(ledger.DetachJournal()->Close().ok());
-  StatusOr<Ledger> recovered = Ledger::Recover(path);
-  ASSERT_TRUE(recovered.ok());
-  ASSERT_EQ(recovered->size(), 1);
-  EXPECT_EQ(recovered->entries()[0].buyer_id, "bob");
-  EXPECT_EQ(recovered->entries()[0].sequence, 0);
+  StatusOr<std::vector<LedgerEntry>> rows = Journal::ReadChain(path, 0);
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  ASSERT_EQ(rows->size(), 1u);
+  EXPECT_EQ((*rows)[0].buyer_id, "bob");
+  EXPECT_EQ((*rows)[0].sequence, 0);
+  Marketplace recovered = MakeMarket(7);
+  Marketplace::RestoreReport report;
+  ASSERT_TRUE(recovered
+                  .RestoreFromCheckpoint(path, Marketplace::RestoreOptions{},
+                                         &report)
+                  .ok());
+  EXPECT_EQ(report.source, Marketplace::RestoreReport::Source::kFullReplay);
+  ASSERT_EQ(recovered.ledger().size(), 1);
+  EXPECT_EQ(testing::BooksOf(recovered.ledger()), testing::BooksOf(ledger));
+  { Marketplace closed = std::move(recovered); }
   std::remove(path.c_str());
 }
 
-TEST(LedgerCsvTest, HostileBuyerIdsRoundTripThroughCsv) {
-  Ledger ledger;
+// Property: buyer ids drawn from a hostile alphabet (quotes, commas,
+// bare LF, CR, CRLF, quote runs, forged-row look-alikes) and
+// full-precision doubles survive the journal byte-for-byte — every
+// field read back off the chain equals what the ledger booked, and the
+// rows' fingerprint equals the ledger's, for every seed.
+TEST(LedgerJournalTest, AdversarialRowsRoundTripThroughTheChain) {
   const std::vector<std::string> hostile = {
-      "plain",
-      "comma,inside",
-      "quote\"inside",
-      "mallory\",,\"0",
-      "multi\nline",
-      "crlf\r\nid",
-      "9,evil_model,1,1000000,0",
-  };
-  for (size_t i = 0; i < hostile.size(); ++i) {
-    ASSERT_TRUE(ledger
-                    .Record(hostile[i], ml::ModelKind::kLinearRegression,
-                            1.0 + static_cast<double>(i), 10.0, 0.5)
-                    .ok());
-  }
-  const std::string csv = ledger.ToCsv();
-  // The forged-row id must survive as data, not as an audit row.
-  EXPECT_NE(csv.find("\"9,evil_model,1,1000000,0\""), std::string::npos);
-
-  StatusOr<Ledger> back = Ledger::FromCsv(csv);
-  ASSERT_TRUE(back.ok()) << back.status();
-  ASSERT_EQ(back->size(), ledger.size());
-  for (size_t i = 0; i < hostile.size(); ++i) {
-    EXPECT_EQ(back->entries()[i].buyer_id, hostile[i]);
-    EXPECT_EQ(back->entries()[i].inverse_ncp, ledger.entries()[i].inverse_ncp);
-  }
-  EXPECT_EQ(back->TotalRevenue(), ledger.TotalRevenue());
-  EXPECT_EQ(back->ToCsv(), csv);
-
-  // Unquoted injection attempts and malformed exports are rejected.
-  EXPECT_FALSE(Ledger::FromCsv("no,header\n").ok());
-  EXPECT_FALSE(
-      Ledger::FromCsv("sequence,buyer,model,inverse_ncp,price,expected_error\n"
-                      "0,alice,linear_regression,1,10\n")
-          .ok());
-  EXPECT_FALSE(
-      Ledger::FromCsv("sequence,buyer,model,inverse_ncp,price,expected_error\n"
-                      "0,\"open quote,linear_regression,1,10,0\n")
-          .ok());
-}
-
-// Property test: randomized buyer ids drawn from an RFC-4180-hostile
-// alphabet (quotes, commas, bare LF, CR, CRLF, quote runs) must survive
-// ToCsv -> FromCsv byte-for-byte — every field equal AND the re-export
-// identical down to the last byte, for every seed.
-TEST(LedgerCsvTest, AdversarialRoundTripProperty) {
+      "plain", "comma,inside", "quote\"inside", "mallory\",,\"0",
+      "multi\nline", "crlf\r\nid", "9,evil_model,1,1000000,0"};
   const std::string alphabet = "ab,\"\n\r\"\",z";
+  const std::string path = TempPath("nimbus_journal_adversarial.waj");
   for (uint64_t seed = 0; seed < 20; ++seed) {
+    std::remove(path.c_str());
     Rng rng(1000 + seed);
     Ledger ledger;
+    StatusOr<Journal> journal = Journal::Open(path, Journal::Options{});
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    ASSERT_TRUE(
+        ledger.AttachJournal(std::make_unique<Journal>(*std::move(journal)))
+            .ok());
+    std::vector<LedgerEntry> booked;
     const int rows = 1 + static_cast<int>(rng.UniformInt(30));
     for (int i = 0; i < rows; ++i) {
+      std::string buyer = hostile[rng.UniformInt(hostile.size())];
       const int length = static_cast<int>(rng.UniformInt(12));
-      std::string buyer = "b";  // Non-empty even when length == 0.
       for (int c = 0; c < length; ++c) {
         buyer += alphabet[rng.UniformInt(alphabet.size())];
       }
-      const ml::ModelKind kind = rng.UniformInt(2) == 0
-                                     ? ml::ModelKind::kLinearRegression
-                                     : ml::ModelKind::kLinearSvm;
-      // Full-precision doubles: round-trip must not lose a single bit.
+      LedgerEntry entry;
+      entry.sequence = i;
+      entry.buyer_id = buyer;
+      entry.model = rng.UniformInt(2) == 0 ? ml::ModelKind::kLinearRegression
+                                           : ml::ModelKind::kLinearSvm;
+      entry.inverse_ncp = rng.Uniform(1.0, 100.0);
+      entry.price = rng.Uniform(0.0, 1e6);
+      entry.expected_error = rng.Uniform();
       ASSERT_TRUE(ledger
-                      .Record(buyer, kind, rng.Uniform(1.0, 100.0),
-                              rng.Uniform(0.0, 1e6), rng.Uniform())
+                      .Record(entry.buyer_id, entry.model, entry.inverse_ncp,
+                              entry.price, entry.expected_error)
                       .ok());
+      booked.push_back(std::move(entry));
     }
-    const std::string csv = ledger.ToCsv();
-    StatusOr<Ledger> back = Ledger::FromCsv(csv);
+    ASSERT_TRUE(ledger.DetachJournal()->Close().ok());
+    StatusOr<std::vector<LedgerEntry>> back = Journal::ReadChain(path, 0);
     ASSERT_TRUE(back.ok()) << "seed " << seed << ": " << back.status();
-    ASSERT_EQ(back->size(), ledger.size()) << "seed " << seed;
-    for (int64_t i = 0; i < ledger.size(); ++i) {
-      ExpectSameEntry(back->entries()[i], ledger.entries()[i]);
+    ASSERT_EQ(back->size(), booked.size()) << "seed " << seed;
+    for (size_t i = 0; i < booked.size(); ++i) {
+      ExpectSameEntry((*back)[i], booked[i]);
     }
-    EXPECT_EQ(back->ToCsv(), csv) << "seed " << seed;
+    EXPECT_EQ(FingerprintRows(*back), ledger.Fingerprint()) << "seed " << seed;
   }
+  std::remove(path.c_str());
 }
 
 // Retry safety of the write-ahead path: when the append's fsync stage
@@ -485,61 +534,6 @@ TEST(JournalTest, ReusedSequenceWithDifferentPayloadPoisonsJournal) {
   std::remove(path.c_str());
 }
 
-// ---------------------------------------------------------------------------
-// Marketplace-level recovery drills.
-
-data::TrainTestSplit ClassificationSplit(uint64_t seed) {
-  Rng rng(seed);
-  data::ClassificationSpec spec;
-  spec.num_examples = 260;
-  spec.num_features = 4;
-  spec.positive_prob = 0.92;
-  data::Dataset all = data::GenerateClassification(spec, rng);
-  return data::Split(all, 0.75, rng);
-}
-
-Broker::Options FastOptions() {
-  Broker::Options options;
-  options.error_curve_points = 6;
-  options.samples_per_curve_point = 40;
-  options.min_inverse_ncp = 1.0;
-  options.max_inverse_ncp = 50.0;
-  return options;
-}
-
-std::shared_ptr<const pricing::PricingFunction> SomeMbpPricing() {
-  auto points = MakeBuyerPoints(ValueShape::kConcave, DemandShape::kUniform,
-                                10, 1.0, 50.0, 80.0, 2.0);
-  Seller seller = *Seller::Create(*points);
-  return *seller.NegotiatePricing();
-}
-
-Marketplace MakeMarket(uint64_t seed) {
-  Marketplace market(ClassificationSplit(seed), FastOptions());
-  EXPECT_TRUE(market
-                  .AddOffering(ml::ModelKind::kLogisticRegression, 0.01,
-                               SomeMbpPricing())
-                  .ok());
-  EXPECT_TRUE(
-      market.AddOffering(ml::ModelKind::kLinearSvm, 0.05, SomeMbpPricing())
-          .ok());
-  return market;
-}
-
-void RunSales(Marketplace& market) {
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(market
-                    .Buy("carol", ml::ModelKind::kLogisticRegression, 10.0,
-                         "zero_one")
-                    .ok());
-  }
-  ASSERT_TRUE(
-      market.Buy("dan,\"ltd\"", ml::ModelKind::kLinearSvm, 5.0, "zero_one")
-          .ok());
-  ASSERT_TRUE(
-      market.Buy("erin", ml::ModelKind::kLinearSvm, 25.0, "zero_one").ok());
-}
-
 TEST(MarketplaceJournalTest, JournalingIsObservationOnlyAndRestores) {
   const std::string path = TempPath("nimbus_marketplace.waj");
   std::remove(path.c_str());
@@ -555,19 +549,25 @@ TEST(MarketplaceJournalTest, JournalingIsObservationOnlyAndRestores) {
 
   // Journaling must not perturb the market: bit-identical output.
   EXPECT_EQ(journaled.total_revenue(), plain.total_revenue());
-  EXPECT_EQ(journaled.ledger().ToCsv(), plain.ledger().ToCsv());
+  EXPECT_EQ(testing::BooksOf(journaled.ledger()),
+            testing::BooksOf(plain.ledger()));
 
   // "Crash": drop the journaled marketplace, then rebuild a fresh one
   // with the same offering sequence and restore from the journal.
   const double pre_crash_revenue = journaled.total_revenue();
-  const std::string pre_crash_csv = journaled.ledger().ToCsv();
+  const testing::Books pre_crash_books = testing::BooksOf(journaled.ledger());
   const auto pre_crash_sales = journaled.ledger().SalesPerPricePoint();
   { Marketplace dropped = std::move(journaled); }
 
   Marketplace restored = MakeMarket(7);
-  ASSERT_TRUE(restored.RestoreFromJournal(path).ok());
+  Marketplace::RestoreReport report;
+  ASSERT_TRUE(restored
+                  .RestoreFromCheckpoint(path, Marketplace::RestoreOptions{},
+                                         &report)
+                  .ok());
+  EXPECT_EQ(report.source, Marketplace::RestoreReport::Source::kFullReplay);
   EXPECT_EQ(restored.total_revenue(), pre_crash_revenue);
-  EXPECT_EQ(restored.ledger().ToCsv(), pre_crash_csv);
+  EXPECT_EQ(testing::BooksOf(restored.ledger()), pre_crash_books);
   EXPECT_EQ(restored.ledger().SalesPerPricePoint(), pre_crash_sales);
 
   // The collusion monitors were rebuilt from the replayed history.
@@ -591,14 +591,23 @@ TEST(MarketplaceJournalTest, JournalingIsObservationOnlyAndRestores) {
   // dropping the marketplace, which closes and flushes its journal).
   ASSERT_TRUE(
       restored.Buy("frank", ml::ModelKind::kLinearSvm, 25.0, "zero_one").ok());
-  EXPECT_EQ(restored.ledger().entries().back().sequence, 6);
+  EXPECT_EQ(restored.ledger().size(), 7);
   const double final_revenue = restored.total_revenue();
-  const std::string final_csv = restored.ledger().ToCsv();
+  const testing::Books final_books = testing::BooksOf(restored.ledger());
   { Marketplace dropped = std::move(restored); }
+  StatusOr<std::vector<LedgerEntry>> rows = Journal::ReadChain(path, 0);
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  ASSERT_EQ(rows->size(), 7u);
+  EXPECT_EQ(rows->back().sequence, 6);
 
   Marketplace restored2 = MakeMarket(7);
-  ASSERT_TRUE(restored2.RestoreFromJournal(path).ok());
-  EXPECT_EQ(restored2.ledger().ToCsv(), final_csv);
+  Marketplace::RestoreReport report2;
+  ASSERT_TRUE(restored2
+                  .RestoreFromCheckpoint(path, Marketplace::RestoreOptions{},
+                                         &report2)
+                  .ok());
+  EXPECT_EQ(report2.source, Marketplace::RestoreReport::Source::kFullReplay);
+  EXPECT_EQ(testing::BooksOf(restored2.ledger()), final_books);
   EXPECT_EQ(restored2.total_revenue(), final_revenue);
   std::remove(path.c_str());
 }
@@ -618,14 +627,14 @@ TEST(MarketplaceJournalTest, RestoreRejectsUnknownOfferingsAndNonEmptyState) {
                   .AddOffering(ml::ModelKind::kLogisticRegression, 0.01,
                                SomeMbpPricing())
                   .ok());
-  EXPECT_EQ(partial.RestoreFromJournal(path).code(),
+  EXPECT_EQ(partial.RestoreFromCheckpoint(path).code(),
             StatusCode::kFailedPrecondition);
 
   // Restoring over sales already on the books is rejected too.
   Marketplace busy = MakeMarket(9);
   ASSERT_TRUE(
       busy.Buy("carol", ml::ModelKind::kLinearSvm, 5.0, "zero_one").ok());
-  EXPECT_EQ(busy.RestoreFromJournal(path).code(),
+  EXPECT_EQ(busy.RestoreFromCheckpoint(path).code(),
             StatusCode::kFailedPrecondition);
   std::remove(path.c_str());
 }
@@ -689,20 +698,88 @@ TEST(JournalTest, OpenOnCorruptTailFailsAndNeverAutoTruncates) {
 }
 
 // ---------------------------------------------------------------------------
-// Rotation: post-checkpoint compaction into a J2 segment.
+// Rotation: sealing the live segment after a checkpoint.
 
-TEST(JournalTest, RotateCompactsToJ2SegmentAndKeepsPrev) {
+// Writes `entries` as one segment file with header base `base`.
+void WriteSegment(const std::string& file, int64_t base,
+                  const std::vector<LedgerEntry>& entries) {
+  std::remove(file.c_str());
+  Journal::Options options;
+  options.create_base_sequence = base;
+  StatusOr<Journal> journal = Journal::Open(file, options);
+  ASSERT_TRUE(journal.ok()) << journal.status();
+  for (const LedgerEntry& e : entries) {
+    ASSERT_TRUE(journal->Append(e).ok());
+  }
+  ASSERT_TRUE(journal->Close().ok());
+}
+
+// Removes the live segment, its sealed segments and a rotation temp file.
+void RemoveChain(const std::string& path) {
+  std::remove(path.c_str());
+  std::remove((path + ".tmp").c_str());
+  for (const Journal::SegmentFile& segment : Journal::SealedSegments(path)) {
+    std::remove(segment.path.c_str());
+  }
+}
+
+// Ten dense entries, sequences 0..9, cycling through SampleEntries.
+std::vector<LedgerEntry> TenEntries() {
+  const std::vector<LedgerEntry> sample = SampleEntries();
+  std::vector<LedgerEntry> entries;
+  for (int i = 0; i < 10; ++i) {
+    LedgerEntry e = sample[i % sample.size()];
+    e.sequence = i;
+    entries.push_back(std::move(e));
+  }
+  return entries;
+}
+
+std::vector<LedgerEntry> Slice(const std::vector<LedgerEntry>& entries,
+                               size_t begin, size_t end) {
+  return std::vector<LedgerEntry>(entries.begin() + begin,
+                                  entries.begin() + end);
+}
+
+// Builds the chain seg.0 = [0,5), seg.5 = [5,8), live = [8,10) by
+// rotating a real journal at sequences 5 and 8.
+void BuildThreeSegmentChain(const std::string& path,
+                            const std::vector<LedgerEntry>& entries) {
+  RemoveChain(path);
+  StatusOr<Journal> journal = Journal::Open(path, Journal::Options{});
+  ASSERT_TRUE(journal.ok()) << journal.status();
+  for (const LedgerEntry& e : entries) {
+    if (e.sequence == 5 || e.sequence == 8) {
+      ASSERT_TRUE(journal->Rotate(e.sequence).ok());
+    }
+    ASSERT_TRUE(journal->Append(e).ok());
+  }
+  ASSERT_TRUE(journal->Close().ok());
+}
+
+TEST(JournalTest, RotateSealsTheSegmentUnchangedAndStartsAFreshOne) {
   const std::string path = TempPath("nimbus_journal_rotate.waj");
+  RemoveChain(path);
   const std::vector<LedgerEntry> entries = SampleEntries();
   WriteJournalWith(path, entries);
+  const std::string before = ReadFileBytes(path);
 
   StatusOr<Journal> journal = Journal::Open(path, Journal::Options{});
   ASSERT_TRUE(journal.ok()) << journal.status();
   EXPECT_EQ(journal->base_sequence(), 0);
-  const int64_t bytes_before = journal->live_bytes();
-  ASSERT_TRUE(journal->Rotate(3).ok());
-  EXPECT_EQ(journal->base_sequence(), 3);
-  EXPECT_LT(journal->live_bytes(), bytes_before);
+  // Only the segment's own end is a valid seal point.
+  EXPECT_EQ(journal->Rotate(3).code(), StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(journal->Rotate(5).ok());
+  EXPECT_EQ(journal->base_sequence(), 5);
+  EXPECT_LT(journal->live_bytes(), static_cast<int64_t>(before.size()));
+  // The sealed segment is the pre-rotation file, byte for byte.
+  const std::string sealed = Journal::SealedSegmentPath(path, 0);
+  EXPECT_EQ(ReadFileBytes(sealed), before);
+  ASSERT_EQ(Journal::SealedSegments(path).size(), 1u);
+  EXPECT_EQ(Journal::SealedSegments(path)[0].path, sealed);
+  // An empty live segment is not sealed again.
+  ASSERT_TRUE(journal->Rotate(5).ok());
+  EXPECT_EQ(Journal::SealedSegments(path).size(), 1u);
 
   // The journal stays open for appending across the rotation.
   LedgerEntry next = entries[0];
@@ -710,54 +787,203 @@ TEST(JournalTest, RotateCompactsToJ2SegmentAndKeepsPrev) {
   ASSERT_TRUE(journal->Append(next).ok());
   ASSERT_TRUE(journal->Close().ok());
 
-  // Live segment: J2 header with base 3, records 3..5 byte-identical.
+  // Live segment: J2 header with base 5 holding record 5 only.
   Journal::RecoveryReport live_report;
   StatusOr<std::vector<LedgerEntry>> live =
       Journal::Replay(path, &live_report);
   ASSERT_TRUE(live.ok()) << live.status();
-  EXPECT_EQ(live_report.base_sequence, 3);
-  ASSERT_EQ(live->size(), 3u);
-  ExpectSameEntry((*live)[0], entries[3]);
-  ExpectSameEntry((*live)[1], entries[4]);
-  ExpectSameEntry((*live)[2], next);
+  EXPECT_EQ(live_report.base_sequence, 5);
+  ASSERT_EQ(live->size(), 1u);
+  ExpectSameEntry((*live)[0], next);
 
-  // The pre-rotation file survives as `.prev` (the fallback rung).
-  Journal::RecoveryReport prev_report;
-  StatusOr<std::vector<LedgerEntry>> prev =
-      Journal::Replay(path + ".prev", &prev_report);
-  ASSERT_TRUE(prev.ok()) << prev.status();
-  EXPECT_EQ(prev_report.base_sequence, 0);
-  ASSERT_EQ(prev->size(), entries.size());
+  // The chain is the whole history; a read from 5 sees only the tail.
+  StatusOr<std::vector<LedgerEntry>> chain = Journal::ReadChain(path, 0);
+  ASSERT_TRUE(chain.ok()) << chain.status();
+  ASSERT_EQ(chain->size(), 6u);
+  for (size_t i = 0; i < entries.size(); ++i) {
+    ExpectSameEntry((*chain)[i], entries[i]);
+  }
+  StatusOr<std::vector<LedgerEntry>> tail = Journal::ReadChain(path, 5);
+  ASSERT_TRUE(tail.ok()) << tail.status();
+  ASSERT_EQ(tail->size(), 1u);
+  ExpectSameEntry((*tail)[0], next);
 
   // Rotating backwards is refused.
   StatusOr<Journal> reopened = Journal::Open(path, Journal::Options{});
   ASSERT_TRUE(reopened.ok()) << reopened.status();
-  EXPECT_EQ(reopened->base_sequence(), 3);
+  EXPECT_EQ(reopened->base_sequence(), 5);
   EXPECT_EQ(reopened->Rotate(1).code(), StatusCode::kInvalidArgument);
-  std::remove(path.c_str());
-  std::remove((path + ".prev").c_str());
+  ASSERT_TRUE(reopened->Close().ok());
+  RemoveChain(path);
 }
 
-TEST(JournalTest, RotateFaultLeavesJournalIntactAndAppendable) {
-  const std::string path = TempPath("nimbus_journal_rotate_fault.waj");
+// A rotate fault fails before anything is renamed: the live segment is
+// unsealed and appendable, and the next (disarmed) rotation seals it.
+void ExpectRotateFaultLeavesLiveSegmentAppendable(const std::string& tag,
+                                                  const std::string& spec) {
+  fault::Reset();
+  const std::string path = TempPath(tag);
+  RemoveChain(path);
   const std::vector<LedgerEntry> entries = SampleEntries();
   WriteJournalWith(path, entries);
   StatusOr<Journal> journal = Journal::Open(path, Journal::Options{});
   ASSERT_TRUE(journal.ok()) << journal.status();
 
-  ASSERT_TRUE(fault::Configure("journal.rotate:1:*").ok());
-  EXPECT_EQ(journal->Rotate(3).code(), StatusCode::kInternal);
+  ASSERT_TRUE(fault::Configure(spec).ok());
+  const Status failed = journal->Rotate(5);
   fault::Reset();
+  EXPECT_EQ(failed.code(), StatusCode::kInternal) << spec;
+  EXPECT_EQ(journal->base_sequence(), 0) << spec;
+  EXPECT_TRUE(Journal::SealedSegments(path).empty()) << spec;
+  EXPECT_NE(::access((path + ".tmp").c_str(), F_OK), 0) << spec;
 
-  EXPECT_EQ(journal->base_sequence(), 0);
   LedgerEntry next = entries[0];
   next.sequence = 5;
-  EXPECT_TRUE(journal->Append(next).ok());
-  EXPECT_TRUE(journal->Close().ok());
-  StatusOr<std::vector<LedgerEntry>> back = Journal::Replay(path);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->size(), 6u);
-  std::remove(path.c_str());
+  ASSERT_TRUE(journal->Append(next).ok()) << spec;
+  ASSERT_TRUE(journal->Rotate(6).ok()) << spec;
+  EXPECT_EQ(journal->base_sequence(), 6);
+  ASSERT_TRUE(journal->Close().ok());
+
+  StatusOr<std::vector<LedgerEntry>> sealed =
+      Journal::Replay(Journal::SealedSegmentPath(path, 0));
+  ASSERT_TRUE(sealed.ok()) << sealed.status();
+  EXPECT_EQ(sealed->size(), 6u);  // Sequences 0..5, none lost.
+  StatusOr<std::vector<LedgerEntry>> chain = Journal::ReadChain(path, 0);
+  ASSERT_TRUE(chain.ok()) << chain.status();
+  EXPECT_EQ(chain->size(), 6u);
+  RemoveChain(path);
+}
+
+TEST(JournalTest, RotateFaultLeavesJournalIntactAndAppendable) {
+  ExpectRotateFaultLeavesLiveSegmentAppendable(
+      "nimbus_journal_rotate_fault.waj", "journal.rotate:1:*");
+}
+
+// Disk-full during rotation: the new segment header runs out of space
+// halfway. Rotation failure is retryable, never data loss.
+TEST(JournalTest, EnospcRotateLeavesLiveSegmentAppendable) {
+  fault::Reset();
+  const std::string path = TempPath("nimbus_journal_rotate_enospc_msg.waj");
+  RemoveChain(path);
+  WriteJournalWith(path, SampleEntries());
+  StatusOr<Journal> journal = Journal::Open(path, Journal::Options{});
+  ASSERT_TRUE(journal.ok()) << journal.status();
+  ASSERT_TRUE(fault::Configure("journal.rotate:1:enospc").ok());
+  const Status full = journal->Rotate(5);
+  fault::Reset();
+  EXPECT_NE(full.message().find("No space left on device"), std::string::npos)
+      << full;
+  ASSERT_TRUE(journal->Close().ok());
+  RemoveChain(path);
+
+  ExpectRotateFaultLeavesLiveSegmentAppendable(
+      "nimbus_journal_rotate_enospc.waj", "journal.rotate:1:enospc");
+}
+
+// ---------------------------------------------------------------------------
+// ReadChain over untrusted bytes.
+
+TEST(JournalChainTest, ReadsEverySegmentInOrderAndSkipsWhatItCan) {
+  const std::string path = TempPath("nimbus_chain_order.waj");
+  const std::vector<LedgerEntry> entries = TenEntries();
+  BuildThreeSegmentChain(path, entries);
+  ASSERT_EQ(Journal::SealedSegments(path).size(), 2u);
+  for (int64_t from = 0; from <= 10; ++from) {
+    StatusOr<std::vector<LedgerEntry>> rows = Journal::ReadChain(path, from);
+    ASSERT_TRUE(rows.ok()) << "from " << from << ": " << rows.status();
+    ASSERT_EQ(rows->size(), static_cast<size_t>(10 - from)) << from;
+    for (size_t i = 0; i < rows->size(); ++i) {
+      ExpectSameEntry((*rows)[i], entries[from + i]);
+    }
+  }
+  // A read past the chain's end, or from before its start, is refused.
+  EXPECT_EQ(Journal::ReadChain(path, 11).status().code(),
+            StatusCode::kInternal);
+  std::remove(Journal::SealedSegmentPath(path, 0).c_str());
+  EXPECT_EQ(Journal::ReadChain(path, 0).status().code(),
+            StatusCode::kInternal);
+  EXPECT_TRUE(Journal::ReadChain(path, 5).ok());
+  RemoveChain(path);
+  EXPECT_EQ(Journal::ReadChain(path, 0).status().code(),
+            StatusCode::kNotFound);
+}
+
+TEST(JournalChainTest, CrcDamageInAnOlderSealedSegmentIsTypedAndUntouched) {
+  const std::string path = TempPath("nimbus_chain_crc.waj");
+  const std::vector<LedgerEntry> entries = TenEntries();
+  BuildThreeSegmentChain(path, entries);
+  const std::string sealed = Journal::SealedSegmentPath(path, 0);
+  std::string bytes = ReadFileBytes(sealed);
+  const auto spans = RecordSpans(bytes);
+  for (const bool tail_record : {false, true}) {
+    std::string rotten = bytes;
+    const auto& span = tail_record ? spans.back() : spans[1];
+    rotten[span.first + 8] = static_cast<char>(rotten[span.first + 8] ^ 0x40);
+    WriteFileBytes(sealed, rotten);
+    const Status status = Journal::ReadChain(path, 0).status();
+    EXPECT_EQ(status.code(), StatusCode::kInternal) << status;
+    EXPECT_NE(status.message().find("damaged"), std::string::npos) << status;
+    // Evidence, not a crash artifact: the sealed file is never pruned.
+    EXPECT_EQ(ReadFileBytes(sealed), rotten);
+    // A restore tail that starts past the damaged segment never reads it.
+    StatusOr<std::vector<LedgerEntry>> tail = Journal::ReadChain(path, 8);
+    ASSERT_TRUE(tail.ok()) << tail.status();
+    EXPECT_EQ(tail->size(), 2u);
+  }
+  // A torn tail in an older sealed segment is damage too: only the
+  // newest file is ever truncated.
+  WriteFileBytes(sealed, bytes.substr(0, bytes.size() - 3));
+  EXPECT_EQ(Journal::ReadChain(path, 0).status().code(),
+            StatusCode::kInternal);
+  EXPECT_EQ(ReadFileBytes(sealed).size(), bytes.size() - 3);
+  RemoveChain(path);
+}
+
+TEST(JournalChainTest, GapOverlapAndSharedBaseAreTypedErrors) {
+  const std::string path = TempPath("nimbus_chain_shape.waj");
+  const std::vector<LedgerEntry> entries = TenEntries();
+  const auto expect_internal = [&](const char* what, const char* phrase) {
+    const Status status = Journal::ReadChain(path, 0).status();
+    EXPECT_EQ(status.code(), StatusCode::kInternal) << what << ": " << status;
+    EXPECT_NE(status.message().find(phrase), std::string::npos)
+        << what << ": " << status;
+  };
+
+  // Gap: the middle segment [5,8) is missing.
+  BuildThreeSegmentChain(path, entries);
+  std::remove(Journal::SealedSegmentPath(path, 5).c_str());
+  expect_internal("gap", "gap");
+
+  // Overlap: the live segment restarts at 6 inside [5,8).
+  BuildThreeSegmentChain(path, entries);
+  WriteSegment(path, 6, Slice(entries, 6, 10));
+  expect_internal("overlap", "overlaps");
+
+  // Two sealed segments share base 5 (same records, differently padded
+  // names).
+  BuildThreeSegmentChain(path, entries);
+  WriteFileBytes(path + ".seg.5",
+                 ReadFileBytes(Journal::SealedSegmentPath(path, 5)));
+  expect_internal("shared sealed base", "share base");
+  std::remove((path + ".seg.5").c_str());
+
+  // The live segment shares its base with the last sealed one.
+  BuildThreeSegmentChain(path, entries);
+  WriteSegment(path, 5, {});
+  expect_internal("shared live base", "shares base");
+
+  // A sealed segment whose header disagrees with its name.
+  BuildThreeSegmentChain(path, entries);
+  WriteSegment(Journal::SealedSegmentPath(path, 5), 4, Slice(entries, 4, 8));
+  expect_internal("renamed segment", "header base");
+
+  // A sequence gap inside one segment.
+  BuildThreeSegmentChain(path, entries);
+  std::vector<LedgerEntry> holed = Slice(entries, 0, 5);
+  holed.erase(holed.begin() + 2);
+  WriteSegment(Journal::SealedSegmentPath(path, 0), 0, holed);
+  expect_internal("hole", "sequence gap");
+  RemoveChain(path);
 }
 
 // The disk-full drill: an armed `journal.append:N:enospc` clause makes
@@ -814,44 +1040,6 @@ TEST(JournalTest, EnospcAppendLeavesTornTailAndRecoveryTruncates) {
   ASSERT_TRUE(healed.ok());
   EXPECT_EQ(healed->size(), 4u);
   std::remove(path.c_str());
-}
-
-// Disk-full during rotation: the filtered segment's .rotate.tmp runs out
-// of space halfway. The live segment must be untouched and appendable —
-// rotation failure is retryable, never data loss.
-TEST(JournalTest, EnospcRotateLeavesLiveSegmentAppendable) {
-  fault::Reset();
-  const std::string path = TempPath("nimbus_journal_rotate_enospc.waj");
-  const std::vector<LedgerEntry> entries = SampleEntries();
-  WriteJournalWith(path, entries);
-  StatusOr<Journal> journal = Journal::Open(path, Journal::Options{});
-  ASSERT_TRUE(journal.ok()) << journal.status();
-
-  ASSERT_TRUE(fault::Configure("journal.rotate:1:enospc").ok());
-  const Status full = journal->Rotate(3);
-  fault::Reset();
-  EXPECT_EQ(full.code(), StatusCode::kInternal);
-  EXPECT_NE(full.message().find("No space left on device"), std::string::npos)
-      << full;
-
-  // Live segment untouched: base unchanged, still appendable, and the
-  // next (disarmed) rotation succeeds.
-  EXPECT_EQ(journal->base_sequence(), 0);
-  LedgerEntry next = entries[0];
-  next.sequence = 5;
-  ASSERT_TRUE(journal->Append(next).ok());
-  ASSERT_TRUE(journal->Rotate(3).ok());
-  EXPECT_EQ(journal->base_sequence(), 3);
-  ASSERT_TRUE(journal->Close().ok());
-
-  Journal::RecoveryReport report;
-  StatusOr<std::vector<LedgerEntry>> back = Journal::Replay(path, &report);
-  ASSERT_TRUE(back.ok()) << back.status();
-  EXPECT_EQ(report.base_sequence, 3);
-  EXPECT_EQ(back->size(), 3u);  // Sequences 3, 4, 5.
-  std::remove(path.c_str());
-  std::remove((path + ".prev").c_str());
-  std::remove((path + ".rotate.tmp").c_str());
 }
 
 TEST(JournalTest, ReplayAndIoReadFaultPointsInject) {

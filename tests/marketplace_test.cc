@@ -2,6 +2,8 @@
 
 #include <map>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -88,14 +90,29 @@ TEST(LedgerTest, RecordAndQueries) {
   EXPECT_DOUBLE_EQ(top[2].second, 15.0);
   EXPECT_EQ(ledger.TopBuyers(1).size(), 1u);
 
-  const auto alice = ledger.EntriesForBuyer("alice");
-  ASSERT_EQ(alice.size(), 2u);
-  EXPECT_EQ(alice[0].sequence, 0);
-  EXPECT_EQ(alice[1].sequence, 2);
-
-  const std::string csv = ledger.ToCsv();
-  EXPECT_NE(csv.find("alice,logistic_regression,2,10,0.1"),
-            std::string::npos);
+  // The fingerprint pins every booked row, byte for byte and in order:
+  // it equals the fingerprint of exactly these rows, and of no
+  // reordering of them.
+  const auto row = [](int64_t sequence, const char* buyer, ml::ModelKind model,
+                      double x, double price, double error) {
+    LedgerEntry entry;
+    entry.sequence = sequence;
+    entry.buyer_id = buyer;
+    entry.model = model;
+    entry.inverse_ncp = x;
+    entry.price = price;
+    entry.expected_error = error;
+    return entry;
+  };
+  std::vector<LedgerEntry> rows = {
+      row(0, "alice", ml::ModelKind::kLogisticRegression, 2.0, 10.0, 0.1),
+      row(1, "bob", ml::ModelKind::kLinearSvm, 4.0, 30.0, 0.05),
+      row(2, "alice", ml::ModelKind::kLinearSvm, 1.0, 5.0, 0.2),
+      row(3, "carol", ml::ModelKind::kLinearSvm, 4.0, 30.0, 0.05)};
+  EXPECT_EQ(ledger.Fingerprint(), FingerprintRows(rows));
+  std::swap(rows[1].buyer_id, rows[3].buyer_id);
+  EXPECT_NE(ledger.Fingerprint(), FingerprintRows(rows));
+  EXPECT_EQ(Ledger().Fingerprint(), FingerprintRows({}));
 }
 
 TEST(LedgerTest, Validation) {

@@ -1,5 +1,9 @@
 #include "market/research_estimation.h"
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/math_util.h"
@@ -11,27 +15,39 @@ namespace {
 constexpr ml::ModelKind kModel = ml::ModelKind::kLinearRegression;
 constexpr ml::ModelKind kOther = ml::ModelKind::kLinearSvm;
 
+// Appends one observed sale, numbered in order.
+void AddSale(std::vector<LedgerEntry>& sales, const std::string& buyer,
+             ml::ModelKind model, double inverse_ncp, double price) {
+  LedgerEntry entry;
+  entry.sequence = static_cast<int64_t>(sales.size());
+  entry.buyer_id = buyer;
+  entry.model = model;
+  entry.inverse_ncp = inverse_ncp;
+  entry.price = price;
+  sales.push_back(std::move(entry));
+}
+
 TEST(ResearchEstimationTest, Validation) {
-  Ledger ledger;
-  EXPECT_FALSE(EstimateResearchFromLedger(ledger, kModel, {}).ok());
+  std::vector<LedgerEntry> sales;
+  EXPECT_FALSE(EstimateResearchFromLedger(sales, kModel, {}).ok());
   EXPECT_FALSE(
-      EstimateResearchFromLedger(ledger, kModel, {2.0, 1.0}).ok());
-  // Empty ledger for the model.
-  ASSERT_TRUE(ledger.Record("a", kOther, 1.0, 5.0, 0.0).ok());
-  EXPECT_EQ(EstimateResearchFromLedger(ledger, kModel, {1.0, 2.0})
+      EstimateResearchFromLedger(sales, kModel, {2.0, 1.0}).ok());
+  // No sales of the model.
+  AddSale(sales, "a", kOther, 1.0, 5.0);
+  EXPECT_EQ(EstimateResearchFromLedger(sales, kModel, {1.0, 2.0})
                 .status()
                 .code(),
             StatusCode::kFailedPrecondition);
 }
 
 TEST(ResearchEstimationTest, AssignsToNearestVersionAndTakesMaxPrice) {
-  Ledger ledger;
+  std::vector<LedgerEntry> sales;
   // Two sales near version 1, one near version 10.
-  ASSERT_TRUE(ledger.Record("a", kModel, 1.1, 3.0, 0.0).ok());
-  ASSERT_TRUE(ledger.Record("b", kModel, 0.9, 7.0, 0.0).ok());
-  ASSERT_TRUE(ledger.Record("c", kModel, 9.8, 20.0, 0.0).ok());
+  AddSale(sales, "a", kModel, 1.1, 3.0);
+  AddSale(sales, "b", kModel, 0.9, 7.0);
+  AddSale(sales, "c", kModel, 9.8, 20.0);
   StatusOr<std::vector<revenue::BuyerPoint>> research =
-      EstimateResearchFromLedger(ledger, kModel, {1.0, 10.0});
+      EstimateResearchFromLedger(sales, kModel, {1.0, 10.0});
   ASSERT_TRUE(research.ok());
   ASSERT_EQ(research->size(), 2u);
   // Valuation = max observed price per version.
@@ -43,11 +59,11 @@ TEST(ResearchEstimationTest, AssignsToNearestVersionAndTakesMaxPrice) {
 }
 
 TEST(ResearchEstimationTest, UnsoldVersionsInheritAndStayMonotone) {
-  Ledger ledger;
-  ASSERT_TRUE(ledger.Record("a", kModel, 1.0, 10.0, 0.0).ok());
-  ASSERT_TRUE(ledger.Record("b", kModel, 30.0, 25.0, 0.0).ok());
+  std::vector<LedgerEntry> sales;
+  AddSale(sales, "a", kModel, 1.0, 10.0);
+  AddSale(sales, "b", kModel, 30.0, 25.0);
   StatusOr<std::vector<revenue::BuyerPoint>> research =
-      EstimateResearchFromLedger(ledger, kModel, {1.0, 10.0, 20.0, 30.0});
+      EstimateResearchFromLedger(sales, kModel, {1.0, 10.0, 20.0, 30.0});
   ASSERT_TRUE(research.ok());
   // Middle versions (no sales) forward-fill from 10.0.
   EXPECT_DOUBLE_EQ((*research)[1].v, 10.0);
@@ -60,11 +76,11 @@ TEST(ResearchEstimationTest, UnsoldVersionsInheritAndStayMonotone) {
 TEST(ResearchEstimationTest, NonMonotoneObservationsAreSmoothed) {
   // A lucky expensive sale at a cheap version must not break the
   // monotone-valuation precondition.
-  Ledger ledger;
-  ASSERT_TRUE(ledger.Record("a", kModel, 1.0, 50.0, 0.0).ok());
-  ASSERT_TRUE(ledger.Record("b", kModel, 10.0, 10.0, 0.0).ok());
+  std::vector<LedgerEntry> sales;
+  AddSale(sales, "a", kModel, 1.0, 50.0);
+  AddSale(sales, "b", kModel, 10.0, 10.0);
   StatusOr<std::vector<revenue::BuyerPoint>> research =
-      EstimateResearchFromLedger(ledger, kModel, {1.0, 10.0});
+      EstimateResearchFromLedger(sales, kModel, {1.0, 10.0});
   ASSERT_TRUE(research.ok());
   EXPECT_LE((*research)[0].v, (*research)[1].v);
   // Isotonic smoothing pools to the mean (30, 30).
@@ -72,15 +88,13 @@ TEST(ResearchEstimationTest, NonMonotoneObservationsAreSmoothed) {
 }
 
 TEST(ResearchEstimationTest, EstimateFeedsTheDp) {
-  Ledger ledger;
+  std::vector<LedgerEntry> sales;
   for (int i = 1; i <= 10; ++i) {
-    ASSERT_TRUE(ledger
-                    .Record("b" + std::to_string(i), kModel,
-                            static_cast<double>(i), 5.0 * i, 0.0)
-                    .ok());
+    AddSale(sales, "b" + std::to_string(i), kModel, static_cast<double>(i),
+            5.0 * i);
   }
   StatusOr<std::vector<revenue::BuyerPoint>> research =
-      EstimateResearchFromLedger(ledger, kModel, Linspace(1.0, 10.0, 10));
+      EstimateResearchFromLedger(sales, kModel, Linspace(1.0, 10.0, 10));
   ASSERT_TRUE(research.ok());
   auto dp = revenue::OptimizeRevenueDp(*research);
   ASSERT_TRUE(dp.ok());

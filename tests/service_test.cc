@@ -15,6 +15,7 @@
 #include "market/market_simulator.h"
 #include "market/marketplace.h"
 #include "service/admission_queue.h"
+#include "ledger_books.h"
 #include "single_shard_catalog.h"
 
 namespace nimbus::service {
@@ -217,8 +218,8 @@ TEST_F(ServiceTest, RetryAbsorbsExecuteFaultsWithoutChangingTheLedger) {
   EXPECT_EQ(total_quote_attempts, 6);  // 4 firsts + 2 absorbed retries.
   EXPECT_GE(service.stats().retries, 2);
   ASSERT_TRUE(service.Drain().ok());
-  EXPECT_EQ(catalog.market().ledger().ToCsv(),
-            reference.market().ledger().ToCsv());
+  EXPECT_EQ(testing::BooksOf(catalog.market().ledger()),
+            testing::BooksOf(reference.market().ledger()));
 }
 
 TEST_F(ServiceTest, DeadlineExceededWhenBackoffCannotFinish) {
@@ -299,11 +300,15 @@ TEST_F(ServiceTest, CommitRetryAbsorbsJournalFaultAndRestores) {
 
   // The retried append left exactly one record behind.
   Marketplace restored = MakeMarket(28);
+  Marketplace::RestoreReport report;
   ASSERT_TRUE(restored
-                  .RestoreFromJournal(catalog.journal_path(),
-                                      market::Journal::Options{})
+                  .RestoreFromCheckpoint(catalog.journal_path(),
+                                         Marketplace::RestoreOptions{},
+                                         &report)
                   .ok());
-  EXPECT_EQ(restored.ledger().ToCsv(), catalog.market().ledger().ToCsv());
+  EXPECT_EQ(report.source, Marketplace::RestoreReport::Source::kFullReplay);
+  EXPECT_EQ(testing::BooksOf(restored.ledger()),
+            testing::BooksOf(catalog.market().ledger()));
 }
 
 TEST_F(ServiceTest, LedgerBytesIdenticalAcrossWorkerCountsUnderFaults) {
@@ -312,7 +317,7 @@ TEST_F(ServiceTest, LedgerBytesIdenticalAcrossWorkerCountsUnderFaults) {
   // final ledger must be byte-identical because quotes are per-ticket
   // pure and commits are sequenced.
   const int kRequests = 12;
-  std::vector<std::string> csvs;
+  std::vector<testing::Books> books;
   for (int workers : {1, 3, 8}) {
     SingleShardCatalog catalog("service_workers_" + std::to_string(workers),
                                [] { return MakeMarket(29); });
@@ -336,10 +341,10 @@ TEST_F(ServiceTest, LedgerBytesIdenticalAcrossWorkerCountsUnderFaults) {
     }
     ASSERT_TRUE(service.Drain().ok());
     fault::Reset();
-    csvs.push_back(catalog.market().ledger().ToCsv());
+    books.push_back(testing::BooksOf(catalog.market().ledger()));
   }
-  EXPECT_EQ(csvs[0], csvs[1]);
-  EXPECT_EQ(csvs[0], csvs[2]);
+  EXPECT_EQ(books[0], books[1]);
+  EXPECT_EQ(books[0], books[2]);
 }
 
 TEST_F(ServiceTest, ErrorCurveBuildHonorsCancellation) {

@@ -1,6 +1,7 @@
 #include "market/shard.h"
 
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
 
@@ -20,14 +21,8 @@ std::string TempDir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "/" + name;
   // Fresh per test run: stale journals from a previous invocation must
   // not leak into this one's restore path.
-  std::remove((dir + "/journal").c_str());
-  std::remove((dir + "/journal.prev").c_str());
-  std::remove((dir + "/journal.manifest").c_str());
-  for (int g = 1; g <= 8; ++g) {
-    char buf[16];
-    std::snprintf(buf, sizeof(buf), "%06d", g);
-    std::remove((dir + "/journal.snap." + buf).c_str());
-  }
+  std::error_code ignored;
+  std::filesystem::remove_all(dir, ignored);
   return dir;
 }
 

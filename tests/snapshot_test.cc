@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -23,6 +22,7 @@
 #include "market/journal.h"
 #include "market/market_simulator.h"
 #include "market/marketplace.h"
+#include "ledger_books.h"
 
 namespace nimbus::market {
 namespace {
@@ -45,50 +45,13 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
   ASSERT_TRUE(file.good()) << path;
 }
 
-// Rewrites the LEDG section's record count to `count` and re-seals the
-// image: the section CRC, the footer's copy of it and the footer CRC are
-// all recomputed, so only the decoder's own bounds checks stand between
-// the forged count and an allocation.
-std::string ForgeLedgCount(std::string bytes, int64_t count) {
-  const uint32_t ledg = 'L' | 'E' << 8 | 'D' << 16 | 'G' << 24;
-  const uint32_t foot = 'F' | 'O' << 8 | 'O' << 16 | 'T' << 24;
-  uint32_t ledg_crc = 0;
-  size_t offset = 8;  // Past the magic.
-  while (offset < bytes.size()) {
-    uint32_t tag = 0;
-    uint64_t len = 0;
-    std::memcpy(&tag, bytes.data() + offset, sizeof(tag));
-    std::memcpy(&len, bytes.data() + offset + 8, sizeof(len));
-    char* crc_at = bytes.data() + offset + 16;
-    char* payload = bytes.data() + offset + 20;
-    if (tag == ledg) {
-      std::memcpy(payload, &count, sizeof(count));
-      ledg_crc = Journal::Crc32(payload, static_cast<size_t>(len));
-      std::memcpy(crc_at, &ledg_crc, sizeof(ledg_crc));
-    } else if (tag == foot) {
-      // u32 section count, then (u32 tag, u64 offset, u64 len, u32 crc).
-      for (size_t row = 4; row < len; row += 24) {
-        uint32_t row_tag = 0;
-        std::memcpy(&row_tag, payload + row, sizeof(row_tag));
-        if (row_tag == ledg) {
-          std::memcpy(payload + row + 20, &ledg_crc, sizeof(ledg_crc));
-        }
-      }
-      const uint32_t foot_crc =
-          Journal::Crc32(payload, static_cast<size_t>(len));
-      std::memcpy(crc_at, &foot_crc, sizeof(foot_crc));
-    }
-    offset += 20 + static_cast<size_t>(len);
-  }
-  return bytes;
-}
-
 // A state exercising every section: multiple models, buyers with
-// hostile ids, non-trivial doubles, and a short entry log.
+// hostile ids and non-trivial doubles.
 snapshot::State SampleState() {
   snapshot::State state;
   state.generation = 3;
   state.sequence = 4;
+  state.fingerprint = 0x0123456789abcdefull;
   state.total_revenue = 57.75;
   state.spend_by_buyer = {{"alice", 22.0}, {"bob,\"evil\"\nid", 35.75}};
   state.sales_per_price_point = {{2.0, 2}, {4.0, 2}};
@@ -104,24 +67,13 @@ snapshot::State SampleState() {
   state.brokers[ml::ModelKind::kLogisticRegression] =
       snapshot::BrokerState{2, 22.0};
   state.brokers[ml::ModelKind::kLinearSvm] = snapshot::BrokerState{2, 35.75};
-  for (int i = 0; i < 4; ++i) {
-    LedgerEntry entry;
-    entry.sequence = i;
-    entry.buyer_id = i % 2 == 0 ? "alice" : "bob,\"evil\"\nid";
-    entry.model = i % 2 == 0 ? ml::ModelKind::kLogisticRegression
-                             : ml::ModelKind::kLinearSvm;
-    entry.inverse_ncp = 2.0 * (1 + i % 2);
-    entry.price = i % 2 == 0 ? 11.0 : 17.875;
-    entry.expected_error = 0.25 / (1 + i);
-    state.entries.push_back(std::move(entry));
-  }
-  state.entries_loaded = true;
   return state;
 }
 
 void ExpectSameAggregates(const snapshot::State& a, const snapshot::State& b) {
   EXPECT_EQ(a.generation, b.generation);
   EXPECT_EQ(a.sequence, b.sequence);
+  EXPECT_EQ(a.fingerprint, b.fingerprint);
   EXPECT_EQ(a.total_revenue, b.total_revenue);  // Bit-identical doubles.
   EXPECT_EQ(a.spend_by_buyer, b.spend_by_buyer);
   EXPECT_EQ(a.sales_per_price_point, b.sales_per_price_point);
@@ -157,47 +109,28 @@ TEST(SnapshotTest, WriteReadRoundTripIsBitIdentical) {
   ASSERT_TRUE(bytes.ok()) << bytes.status();
   EXPECT_EQ(*bytes, static_cast<int64_t>(ReadFileBytes(path).size()));
 
-  snapshot::ReadOptions deep;
-  deep.load_entries = true;
-  StatusOr<snapshot::State> back = snapshot::Read(path, deep);
+  StatusOr<snapshot::State> back = snapshot::Read(path);
   ASSERT_TRUE(back.ok()) << back.status();
   ExpectSameAggregates(state, *back);
-  ASSERT_TRUE(back->entries_loaded);
-  ASSERT_EQ(back->entries.size(), state.entries.size());
-  for (size_t i = 0; i < state.entries.size(); ++i) {
-    EXPECT_EQ(back->entries[i].sequence, state.entries[i].sequence);
-    EXPECT_EQ(back->entries[i].buyer_id, state.entries[i].buyer_id);
-    EXPECT_EQ(back->entries[i].model, state.entries[i].model);
-    EXPECT_EQ(back->entries[i].inverse_ncp, state.entries[i].inverse_ncp);
-    EXPECT_EQ(back->entries[i].price, state.entries[i].price);
-    EXPECT_EQ(back->entries[i].expected_error,
-              state.entries[i].expected_error);
-  }
   std::remove(path.c_str());
 }
 
-TEST(SnapshotTest, ShallowReadValidatesEverythingWithoutLoadingEntries) {
-  const std::string path = TempPath("nimbus_snapshot_shallow.snap");
-  const snapshot::State state = SampleState();
-  ASSERT_TRUE(snapshot::Write(path, state).ok());
-
-  StatusOr<snapshot::State> shallow = snapshot::Read(path);
-  ASSERT_TRUE(shallow.ok()) << shallow.status();
-  EXPECT_FALSE(shallow->entries_loaded);
-  EXPECT_TRUE(shallow->entries.empty());
-  EXPECT_EQ(shallow->sequence, state.sequence);
-  EXPECT_EQ(shallow->total_revenue, state.total_revenue);
-
-  StatusOr<std::vector<LedgerEntry>> entries = snapshot::ReadEntries(path);
-  ASSERT_TRUE(entries.ok()) << entries.status();
-  EXPECT_EQ(entries->size(), state.entries.size());
+// A snapshot holds aggregates, never rows: covering a million times more
+// sales over the same buyers and price points costs not one byte more.
+TEST(SnapshotTest, SizeDoesNotGrowWithSalesCovered) {
+  const std::string path = TempPath("nimbus_snapshot_size.snap");
+  snapshot::State state = SampleState();
+  StatusOr<int64_t> small = snapshot::Write(path, state);
+  ASSERT_TRUE(small.ok()) << small.status();
+  state.sequence *= 1000000;
+  StatusOr<int64_t> large = snapshot::Write(path, state);
+  ASSERT_TRUE(large.ok()) << large.status();
+  EXPECT_EQ(*large, *small);
   std::remove(path.c_str());
 }
 
-// Property: a snapshot truncated at ANY byte offset is rejected — both
-// by the shallow (footer-walking) reader the recovery ladder uses and
-// by the entry loader. No prefix of a valid snapshot is a valid
-// snapshot.
+// Property: a snapshot truncated at ANY byte offset is rejected. No
+// prefix of a valid snapshot is a valid snapshot.
 TEST(SnapshotTest, TruncationAtEveryByteOffsetIsRejected) {
   const std::string path = TempPath("nimbus_snapshot_trunc.snap");
   const snapshot::State state = SampleState();
@@ -208,20 +141,15 @@ TEST(SnapshotTest, TruncationAtEveryByteOffsetIsRejected) {
   for (size_t length = 0; length < bytes.size(); ++length) {
     WriteFileBytes(path, bytes.substr(0, length));
     EXPECT_FALSE(snapshot::Read(path).ok())
-        << "shallow read accepted a snapshot truncated to " << length
-        << " of " << bytes.size() << " bytes";
-    EXPECT_FALSE(snapshot::ReadEntries(path).ok())
-        << "entry load accepted a snapshot truncated to " << length
-        << " of " << bytes.size() << " bytes";
+        << "read accepted a snapshot truncated to " << length << " of "
+        << bytes.size() << " bytes";
   }
   std::remove(path.c_str());
 }
 
-// Property: flipping one bit anywhere in the image is rejected by the
-// deep read — section payloads and headers are all CRC-covered, and the
-// footer cross-checks the headers. (The shallow read must reject every
-// flip outside the LEDG payload; a LEDG payload flip is the one case it
-// intentionally defers to hydration.)
+// Property: flipping one bit anywhere in the image is rejected — every
+// section payload is CRC-checked on read, and the footer cross-checks
+// the headers.
 TEST(SnapshotTest, BitFlipAtEveryByteIsRejected) {
   const std::string path = TempPath("nimbus_snapshot_flip.snap");
   const snapshot::State state = SampleState();
@@ -232,35 +160,8 @@ TEST(SnapshotTest, BitFlipAtEveryByteIsRejected) {
     std::string corrupted = bytes;
     corrupted[offset] = static_cast<char>(corrupted[offset] ^ 0x40);
     WriteFileBytes(path, corrupted);
-    snapshot::ReadOptions deep;
-    deep.load_entries = true;
-    EXPECT_FALSE(snapshot::Read(path, deep).ok())
-        << "deep read accepted a bit flip at byte " << offset;
-  }
-  std::remove(path.c_str());
-}
-
-// A forged LEDG record count behind valid CRCs must fail as a typed
-// corruption error before it sizes any allocation — never a throw.
-TEST(SnapshotTest, ForgedLedgCountIsRejectedBeforeAllocating) {
-  const std::string path = TempPath("nimbus_snapshot_forged_count.snap");
-  ASSERT_TRUE(snapshot::Write(path, SampleState()).ok());
-  const std::string pristine = ReadFileBytes(path);
-  for (const int64_t count : {int64_t{1} << 40, int64_t{1} << 62,
-                              std::numeric_limits<int64_t>::max()}) {
-    WriteFileBytes(path, ForgeLedgCount(pristine, count));
-    // The shallow read skips the LEDG payload, so the forged count is
-    // only visible to the entry decoder.
-    EXPECT_TRUE(snapshot::Read(path).ok()) << count;
-    snapshot::ReadOptions deep;
-    deep.load_entries = true;
-    const StatusOr<snapshot::State> state = snapshot::Read(path, deep);
-    EXPECT_EQ(state.status().code(), StatusCode::kInternal) << count;
-    EXPECT_NE(state.status().message().find("LEDG record count"),
-              std::string::npos)
-        << state.status();
-    EXPECT_EQ(snapshot::ReadEntries(path).status().code(),
-              StatusCode::kInternal);
+    EXPECT_FALSE(snapshot::Read(path).ok())
+        << "read accepted a bit flip at byte " << offset;
   }
   std::remove(path.c_str());
 }
@@ -413,14 +314,21 @@ Marketplace MakeMarket(uint64_t seed) {
   return market;
 }
 
+// Removes the live segment and every sealed segment of `path`.
+void RemoveChain(const std::string& path) {
+  std::remove(path.c_str());
+  for (const Journal::SegmentFile& segment : Journal::SealedSegments(path)) {
+    std::remove(segment.path.c_str());
+  }
+}
+
 // One marketplace history with two committed generations and a journal
 // tail past the newest, plus the reference state a restore must match.
 struct LadderFixture {
   std::string journal_path;
   std::string newest_snapshot;    // Generation 2's file.
   std::string pristine_newest;    // Its uncorrupted bytes.
-  double total_revenue = 0.0;
-  std::string csv;
+  testing::Books books;
   std::map<double, int64_t> sales_per_price_point;
   std::vector<std::string> suspicious;
 };
@@ -428,8 +336,7 @@ struct LadderFixture {
 LadderFixture BuildLadderFixture(const std::string& tag) {
   LadderFixture fixture;
   fixture.journal_path = TempPath(tag);
-  std::remove(fixture.journal_path.c_str());
-  std::remove((fixture.journal_path + ".prev").c_str());
+  RemoveChain(fixture.journal_path);
   std::remove(snapshot::ManifestPath(fixture.journal_path).c_str());
   for (int64_t generation = 1; generation <= 4; ++generation) {
     std::remove(
@@ -452,7 +359,7 @@ LadderFixture BuildLadderFixture(const std::string& tag) {
   buy("bob,\"evil\"\nid", ml::ModelKind::kLinearSvm, 5.0);
   buy("carol", ml::ModelKind::kLinearSvm, 25.0);
   EXPECT_EQ(*market.CheckpointNow(), 1);
-  // Generation 2 covers 7 (journal rotated down to base 4).
+  // Generation 2 covers 7 (segment [0,4) sealed; live base 4).
   buy("alice", ml::ModelKind::kLinearSvm, 5.0);
   buy("dave", ml::ModelKind::kLogisticRegression, 2.0);
   buy("carol", ml::ModelKind::kLinearSvm, 25.0);
@@ -464,8 +371,7 @@ LadderFixture BuildLadderFixture(const std::string& tag) {
 
   fixture.newest_snapshot = snapshot::SnapshotPath(fixture.journal_path, 2);
   fixture.pristine_newest = ReadFileBytes(fixture.newest_snapshot);
-  fixture.total_revenue = market.total_revenue();
-  fixture.csv = market.ledger().ToCsv();
+  fixture.books = testing::BooksOf(market.ledger());
   fixture.sales_per_price_point = market.ledger().SalesPerPricePoint();
   fixture.suspicious = market.SuspiciousBuyers();
   return fixture;
@@ -473,8 +379,7 @@ LadderFixture BuildLadderFixture(const std::string& tag) {
 
 void ExpectBitIdenticalRestore(const LadderFixture& fixture,
                                Marketplace& restored) {
-  EXPECT_EQ(restored.total_revenue(), fixture.total_revenue);
-  EXPECT_EQ(restored.ledger().ToCsv(), fixture.csv);
+  EXPECT_EQ(testing::BooksOf(restored.ledger()), fixture.books);
   EXPECT_EQ(restored.ledger().SalesPerPricePoint(),
             fixture.sales_per_price_point);
   EXPECT_EQ(restored.SuspiciousBuyers(), fixture.suspicious);
@@ -536,8 +441,8 @@ TEST(SnapshotLadderTest, TruncatedNewestGenerationFallsBackBitIdentically) {
 
 // Companion property: flipping a byte ANYWHERE in the newest snapshot
 // (every offset — headers, payloads, footer) falls back to generation 1
-// and restores bit-identically. The eager-hydration restore CRC-checks
-// the LEDG payload too, so no flip anywhere survives.
+// and restores bit-identically: every section is CRC-checked, so no flip
+// anywhere survives.
 TEST(SnapshotLadderTest, ByteFlipAnywhereFallsBackBitIdentically) {
   const LadderFixture fixture = BuildLadderFixture("nimbus_ladder_flip.waj");
   const size_t size = fixture.pristine_newest.size();
@@ -584,99 +489,65 @@ TEST(SnapshotLadderTest, BothGenerationsCorruptFallsBackToFullReplay) {
   ASSERT_TRUE(status.ok()) << status;
   EXPECT_EQ(report.source, Marketplace::RestoreReport::Source::kFullReplay);
   EXPECT_EQ(report.generation, 0);
-  // Full replay stitches `.prev` records [0,4) to the live segment's
-  // [4,9) — the rotation chain covers history even with no snapshot.
+  // Full replay reads the sealed segments [0,4) and [4,7), then the
+  // live segment's [7,9) — the chain is the whole history.
   EXPECT_EQ(report.tail_records, 9);
   EXPECT_EQ(report.snapshots_rejected, 2);
   ExpectBitIdenticalRestore(fixture, restored);
 }
 
-// The recovery ladder treats a forged LEDG count like any other rotted
-// generation: the newest is rejected and the previous one restores
-// bit-identically; with both forged, full replay takes over.
-TEST(SnapshotLadderTest, ForgedLedgCountFallsBackBitIdentically) {
-  const LadderFixture fixture =
-      BuildLadderFixture("nimbus_ladder_forged.waj");
-  WriteFileBytes(fixture.newest_snapshot,
-                 ForgeLedgCount(fixture.pristine_newest, int64_t{1} << 62));
-  Marketplace restored = MakeMarket(17);
-  Marketplace::RestoreReport report;
-  Status status = restored.RestoreFromCheckpoint(
-      fixture.journal_path, Marketplace::RestoreOptions{}, &report);
-  ASSERT_TRUE(status.ok()) << status;
-  EXPECT_EQ(report.source,
-            Marketplace::RestoreReport::Source::kPreviousSnapshot);
-  EXPECT_EQ(report.generation, 1);
-  EXPECT_EQ(report.snapshots_rejected, 1);
-  ExpectBitIdenticalRestore(fixture, restored);
-
-  const std::string gen1 = snapshot::SnapshotPath(fixture.journal_path, 1);
-  WriteFileBytes(gen1, ForgeLedgCount(ReadFileBytes(gen1), int64_t{1} << 62));
-  Marketplace replayed = MakeMarket(17);
-  Marketplace::RestoreReport replay_report;
-  status = replayed.RestoreFromCheckpoint(
-      fixture.journal_path, Marketplace::RestoreOptions{}, &replay_report);
-  ASSERT_TRUE(status.ok()) << status;
-  EXPECT_EQ(replay_report.source,
-            Marketplace::RestoreReport::Source::kFullReplay);
-  EXPECT_EQ(replay_report.snapshots_rejected, 2);
-  ExpectBitIdenticalRestore(fixture, replayed);
-}
-
-TEST(SnapshotLadderTest, DeferredHydrationRestoresAggregatesThenRows) {
-  const LadderFixture fixture =
-      BuildLadderFixture("nimbus_ladder_deferred.waj");
-  Marketplace restored = MakeMarket(17);
-  Marketplace::RestoreOptions options;
-  options.hydrate = false;
-  Marketplace::RestoreReport report;
-  Status status = restored.RestoreFromCheckpoint(fixture.journal_path,
-                                                 options, &report);
-  ASSERT_TRUE(status.ok()) << status;
-  EXPECT_EQ(report.source, Marketplace::RestoreReport::Source::kSnapshot);
-  EXPECT_FALSE(restored.ledger().hydrated());
-  // Aggregate queries work without touching the snapshot's entry log.
-  EXPECT_EQ(restored.total_revenue(), fixture.total_revenue);
-  EXPECT_EQ(restored.ledger().SalesPerPricePoint(),
-            fixture.sales_per_price_point);
-  EXPECT_EQ(restored.SuspiciousBuyers(), fixture.suspicious);
-  // Row-level audit access comes online after hydration.
-  ASSERT_TRUE(restored.HydrateLedger().ok());
-  EXPECT_TRUE(restored.ledger().hydrated());
-  EXPECT_EQ(restored.ledger().ToCsv(), fixture.csv);
-}
-
-TEST(SnapshotLadderTest, RestoreSurvivesRotationRenameCrashWindow) {
-  const LadderFixture fixture =
-      BuildLadderFixture("nimbus_ladder_rename.waj");
-  // Emulate a crash between Rotate's two renames: the live segment is
-  // gone and only `.prev` (the full pre-rotation file) remains.
-  const std::string live_bytes = ReadFileBytes(fixture.journal_path);
-  WriteFileBytes(fixture.journal_path + ".prev", live_bytes);
-  ASSERT_EQ(std::remove(fixture.journal_path.c_str()), 0);
-
+// A crash between Rotate's two renames: the live segment was sealed but
+// no new one was installed. The sealed segment is then the newest file,
+// the restore reads its tail from there, and recreates the live segment
+// at the restored sequence.
+TEST(SnapshotLadderTest, SealRenameCrashWindowRestoresBitIdentically) {
+  const LadderFixture fixture = BuildLadderFixture("nimbus_ladder_seal.waj");
+  ASSERT_EQ(std::rename(fixture.journal_path.c_str(),
+                        Journal::SealedSegmentPath(fixture.journal_path, 7)
+                            .c_str()),
+            0);
   Marketplace restored = MakeMarket(17);
   Marketplace::RestoreReport report;
   Status status = restored.RestoreFromCheckpoint(
       fixture.journal_path, Marketplace::RestoreOptions{}, &report);
   ASSERT_TRUE(status.ok()) << status;
   EXPECT_EQ(report.source, Marketplace::RestoreReport::Source::kSnapshot);
+  EXPECT_EQ(report.generation, 2);
+  EXPECT_EQ(report.tail_records, 2);
   ExpectBitIdenticalRestore(fixture, restored);
-  // The live segment was recreated for new appends at the restored
-  // sequence.
   Journal::RecoveryReport journal_report;
-  ASSERT_TRUE(
-      Journal::Replay(fixture.journal_path, &journal_report).ok());
+  ASSERT_TRUE(Journal::Replay(fixture.journal_path, &journal_report).ok());
   EXPECT_EQ(journal_report.base_sequence, 9);
+
+  // New sales extend the chain densely, and a full replay of it (both
+  // snapshots gone) restores the same books.
   ASSERT_TRUE(restored
                   .Buy("gina", ml::ModelKind::kLinearSvm, 5.0, "zero_one")
                   .ok());
+  const testing::Books after_sale = testing::BooksOf(restored.ledger());
+  { Marketplace closed = std::move(restored); }
+  StatusOr<std::vector<LedgerEntry>> chain =
+      Journal::ReadChain(fixture.journal_path, 0);
+  ASSERT_TRUE(chain.ok()) << chain.status();
+  ASSERT_EQ(chain->size(), 10u);
+  EXPECT_EQ(FingerprintRows(*chain), after_sale.fingerprint);
+  for (int64_t generation = 1; generation <= 2; ++generation) {
+    std::remove(
+        snapshot::SnapshotPath(fixture.journal_path, generation).c_str());
+  }
+  Marketplace replayed = MakeMarket(17);
+  ASSERT_TRUE(replayed
+                  .RestoreFromCheckpoint(fixture.journal_path,
+                                         Marketplace::RestoreOptions{},
+                                         &report)
+                  .ok());
+  EXPECT_EQ(report.source, Marketplace::RestoreReport::Source::kFullReplay);
+  EXPECT_EQ(testing::BooksOf(replayed.ledger()), after_sale);
 }
 
 TEST(SnapshotLadderTest, RestoreRejectsNonEmptyMarketAndMissingEverything) {
   const std::string path = TempPath("nimbus_ladder_missing.waj");
-  std::remove(path.c_str());
-  std::remove((path + ".prev").c_str());
+  RemoveChain(path);
   Marketplace fresh = MakeMarket(17);
   EXPECT_EQ(fresh.RestoreFromCheckpoint(path).code(), StatusCode::kNotFound);
 
